@@ -127,31 +127,58 @@ def degree_sequence(graph: SimpleGraph) -> DegreeSequence:
     return DegreeSequence(degs)
 
 
+def _least_bowtie(adj: list[int]) -> BowtieWitness | None:
+    """Least bowtie in a bitmask adjacency (bit v of adj[u] is the edge uv).
+
+    Centres are scanned in increasing order.  For each centre the wing pairs
+    (a, b), a < b, come in lexicographic order, and the first one that has a
+    vertex-disjoint later pair (d, e) wins together with the least such
+    pair.  The result is therefore the minimum witness under (center, wing1,
+    wing2) tuple order.  Neighbours are read off the set bits, so the work
+    per centre depends on its degree, not on the vertex count.
+    """
+    for center, around in enumerate(adj):
+        if around.bit_count() < 4:
+            continue
+        above = around  # neighbours of the centre above the current a
+        while above:
+            low = above & -above
+            above ^= low
+            a = low.bit_length() - 1
+            partners = adj[a] & above
+            while partners:
+                b_bit = partners & -partners
+                partners ^= b_bit
+                # a later disjoint pair lies above a and avoids b
+                seconds = above & ~b_bit
+                while seconds:
+                    d_bit = seconds & -seconds
+                    seconds ^= d_bit
+                    mates = adj[d_bit.bit_length() - 1] & seconds
+                    if mates:
+                        return BowtieWitness(
+                            center=center,
+                            wing1=(a, b_bit.bit_length() - 1),
+                            wing2=(
+                                d_bit.bit_length() - 1,
+                                (mates & -mates).bit_length() - 1,
+                            ),
+                        )
+    return None
+
+
 def contains_bowtie(graph: SimpleGraph) -> BowtieWitness | None:
     """Find the least bowtie embedding, or None.
 
-    Centres are scanned in increasing order; for each centre the adjacent
-    neighbour pairs are scanned in lexicographic order, and the first
-    disjoint pair of pairs wins.  The result is therefore the minimum
-    witness under (center, wing1, wing2) tuple order, and adding edges to
-    the graph can never lose it.
+    The witness is the minimum under (center, wing1, wing2) tuple order, so
+    adding edges to the graph can never lose it.
     """
-    adj = graph.adjacency()
-    for center in range(graph.vertex_count):
-        neighbours = sorted(adj[center])
-        if len(neighbours) < 4:
-            continue
-        pairs = [
-            (a, b)
-            for a, b in combinations(neighbours, 2)
-            if b in adj[a]
-        ]
-        for i, first in enumerate(pairs):
-            for second in pairs[i + 1 :]:
-                if first[0] in second or first[1] in second:
-                    continue
-                return BowtieWitness(center=center, wing1=first, wing2=second)
-    return None
+    bit = [1 << v for v in range(graph.vertex_count)]
+    adj = [0] * graph.vertex_count
+    for u, v in graph.edges:
+        adj[u] |= bit[v]
+        adj[v] |= bit[u]
+    return _least_bowtie(adj)
 
 
 def attach_by_degrees(graph: SimpleGraph, neighbour_degrees: Iterable[int]) -> SimpleGraph:
@@ -207,25 +234,97 @@ def havel_hakimi_realize(seq: DegreeSequence) -> SimpleGraph:
 
 
 def _erdos_gallai_ok(residual: list[int]) -> bool:
-    """Whether the residual demands (zeros allowed) extend to a simple graph."""
-    degs = sorted((d for d in residual if d > 0), reverse=True)
+    """Whether the residual demands (zeros allowed) extend to a simple graph.
+
+    If any Erdős–Gallai inequality fails, one fails where a run of equal
+    degrees ends (Tripathi & Vijay, Discrete Math. 2003), so only those k
+    are tested, and the tail sum is skipped where prefix <= k(k-1) holds
+    on its own.  The answer is the one the full set of inequalities gives.
+    """
+    degs = sorted(residual, reverse=True)
+    degs.append(0)  # sentinel: closes the last run and bounds the positives
     if sum(degs) % 2 != 0:
         return False
-    m = len(degs)
+    m = degs.index(0)
     if m and degs[0] >= m:
         return False
     prefix = 0
     for k in range(1, m + 1):
-        prefix += degs[k - 1]
-        tail = sum(min(d, k) for d in degs[k:])
-        if prefix > k * (k - 1) + tail:
+        d = degs[k - 1]
+        prefix += d
+        if d == degs[k] or prefix <= k * (k - 1):
+            continue
+        if prefix > k * (k - 1) + sum(min(x, k) for x in degs[k:m]):
             return False
     return True
 
 
-def enumerate_realizations(
-    seq: DegreeSequence, budget: int = 0
-) -> Iterator[SimpleGraph]:
+def _check_enumerable(seq: DegreeSequence) -> None:
+    n = len(seq)
+    if n > ENUMERATION_LIMIT:
+        raise TooLarge(f"enumeration is limited to {ENUMERATION_LIMIT} vertices, got {n}")
+    if not is_graphic(seq):
+        raise NotGraphic(f"{seq} is not graphic")
+
+
+def _realizations(terms: tuple[int, ...]) -> Iterator[list[int]]:
+    """Walk every labelled realization of ``terms`` depth first.
+
+    Vertex u, in increasing order, picks its neighbours among the higher
+    vertices that still have demand, as combinations in lexicographic
+    order; a pick is kept only if the remaining demands pass the exact
+    Erdős–Gallai prune.  The walk keeps one frame per vertex on an explicit
+    stack and updates ``residual`` and the bitmask adjacency ``adj`` (bit v
+    of adj[u] is the edge uv) in place.  Each realization is yielded as that
+    same live ``adj`` list, so a caller must read it before resuming.
+    """
+    n = len(terms)
+    residual = list(terms)
+    adj = [0] * n
+    # frame: [vertex, its demand, its remaining picks, its current pick]
+    stack: list[list] = []
+    u = 0
+    while True:
+        while u < n and residual[u] == 0:
+            u += 1
+        if u == n:
+            yield adj
+        else:
+            need = residual[u]
+            residual[u] = 0
+            candidates = [v for v in range(u + 1, n) if residual[v]]
+            stack.append([u, need, combinations(candidates, need), ()])
+        # Move the top frame on to its next surviving pick; drop spent frames.
+        while stack:
+            frame = stack[-1]
+            u, need, picks, chosen = frame
+            bit = 1 << u
+            for v in chosen:
+                residual[v] += 1
+                adj[v] ^= bit
+            adj[u] &= bit - 1
+            for chosen in picks:
+                for v in chosen:
+                    residual[v] -= 1
+                if _erdos_gallai_ok(residual[u + 1 :]):
+                    break
+                for v in chosen:
+                    residual[v] += 1
+            else:
+                residual[u] = need
+                stack.pop()
+                continue
+            for v in chosen:
+                adj[v] |= bit
+                adj[u] |= 1 << v
+            frame[3] = chosen
+            u += 1
+            break
+        else:
+            return
+
+
+def enumerate_realizations(seq: DegreeSequence) -> Iterator[SimpleGraph]:
     """Yield every labelled realization of the sequence, deterministically.
 
     Vertex i carries the i-th term of the (nonincreasing) sequence.
@@ -233,59 +332,29 @@ def enumerate_realizations(
     order, with an exact feasibility prune on the remaining demands, so the
     stream is duplicate-free, exhaustive, and identical between runs.
 
-    ``budget`` > 0 caps the number of graphs yielded (0 means unlimited).
     Raises TooLarge beyond ENUMERATION_LIMIT vertices and NotGraphic for
     sequences with no realization.
     """
+    _check_enumerable(seq)
     n = len(seq)
-    if n > ENUMERATION_LIMIT:
-        raise TooLarge(f"enumeration is limited to {ENUMERATION_LIMIT} vertices, got {n}")
-    if not is_graphic(seq):
-        raise NotGraphic(f"{seq} is not graphic")
-
-    residual = list(seq.terms)
-    edges: list[tuple[int, int]] = []
-
-    def assign(u: int) -> Iterator[SimpleGraph]:
-        if u == n:
-            yield SimpleGraph(n, edges)
-            return
-        need = residual[u]
-        if need == 0:
-            yield from assign(u + 1)
-            return
-        candidates = [v for v in range(u + 1, n) if residual[v] > 0]
-        if len(candidates) < need:
-            return
-        for chosen in combinations(candidates, need):
-            for v in chosen:
-                residual[v] -= 1
-            residual[u] = 0
-            if _erdos_gallai_ok(residual[u + 1 :]):
-                edges.extend((u, v) for v in chosen)
-                yield from assign(u + 1)
-                del edges[-need:]
-            residual[u] = need
-            for v in chosen:
-                residual[v] += 1
-
-    emitted = 0
-    for graph in assign(0):
-        yield graph
-        emitted += 1
-        if budget > 0 and emitted >= budget:
-            return
+    for adj in _realizations(seq.terms):
+        yield SimpleGraph(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1]
+        )
 
 
 def oracle_has_bowtie_realization(seq: DegreeSequence) -> bool:
     """Brute-force ground truth: does any realization contain a bowtie?
 
-    Walks the exhaustive enumeration and stops at the first witness.  Usable
-    only within the enumeration limit; the characterize module's rules are
-    validated against this oracle.
+    Walks the same exhaustive enumeration as ``enumerate_realizations``,
+    testing each bitmask adjacency for a bowtie, and stops at the first
+    witness.  Usable only within the enumeration limit; the characterize
+    module's rules are validated against this oracle, so it uses none of
+    them.
     """
-    for graph in enumerate_realizations(seq):
-        if contains_bowtie(graph) is not None:
+    _check_enumerable(seq)
+    for adj in _realizations(seq.terms):
+        if _least_bowtie(adj) is not None:
             return True
     return False
 

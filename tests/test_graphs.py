@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
@@ -12,6 +13,7 @@ from _brute import (
     brute_all_witnesses,
     brute_contains_bowtie,
     degree_multiset_census,
+    erdos_gallai_graphic,
     nonincreasing_positive_sequences,
 )
 from bowtieseq import (
@@ -34,6 +36,7 @@ from bowtieseq import (
     oracle_has_bowtie_realization,
     parse_sequence,
 )
+from bowtieseq.graphs import _erdos_gallai_ok
 
 BOWTIE = SimpleGraph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)])
 
@@ -150,6 +153,26 @@ def test_contains_bowtie_matches_brute_force_on_all_small_graphs():
     assert checked == sum(1 << (n * (n - 1) // 2) for n in range(0, 7))
 
 
+def test_contains_bowtie_matches_brute_force_on_random_larger_graphs():
+    rng = random.Random(70113)
+    hits = 0
+    for _ in range(120):
+        n = rng.randint(5, 60)
+        p = rng.uniform(0.02, 0.35)
+        g = SimpleGraph(
+            n, [e for e in combinations(range(n), 2) if rng.random() < p]
+        )
+        witnesses = brute_all_witnesses(g)
+        found = contains_bowtie(g)
+        if not witnesses:
+            assert found is None
+        else:
+            c, w1, w2 = witnesses[0]
+            assert found == BowtieWitness(center=c, wing1=w1, wing2=w2)
+            hits += 1
+    assert 0 < hits < 120
+
+
 def test_adding_edges_never_loses_the_bowtie():
     rng = random.Random(90401)
     grown = 0
@@ -257,12 +280,44 @@ def test_enumeration_is_deterministic_and_duplicate_free():
     assert len(set(first)) == len(first)
 
 
-def test_enumeration_budget_truncates_the_stream():
-    seq = parse_sequence("4,2^4")
-    assert len(list(enumerate_realizations(seq, budget=2))) == 2
-    assert len(list(enumerate_realizations(seq, budget=100))) == 3
-    full = list(enumerate_realizations(seq))
-    assert list(enumerate_realizations(seq, budget=2)) == full[:2]
+def test_enumeration_order_is_pinned():
+    # first and last realization in the stream, so a change of search order
+    # shows even where the set of realizations stays the same
+    golden = {
+        "3^8": (
+            19355,
+            [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+             (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)],
+            [(0, 5), (0, 6), (0, 7), (1, 5), (1, 6), (1, 7),
+             (2, 3), (2, 4), (2, 7), (3, 4), (3, 6), (4, 5)],
+        ),
+        "4,3^6,2": (
+            11760,
+            [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3),
+             (2, 3), (4, 5), (4, 6), (5, 6), (5, 7), (6, 7)],
+            [(0, 4), (0, 5), (0, 6), (0, 7), (1, 5), (1, 6),
+             (1, 7), (2, 3), (2, 4), (2, 6), (3, 4), (3, 5)],
+        ),
+    }
+    for text, (count, first, last) in golden.items():
+        graphs = list(enumerate_realizations(parse_sequence(text)))
+        assert len(graphs) == count, text
+        assert graphs[0] == SimpleGraph(8, first), text
+        assert graphs[-1] == SimpleGraph(8, last), text
+
+
+def test_feasibility_prune_is_the_full_erdos_gallai_test():
+    # the prune tests only the ends of runs; it must still answer exactly
+    # what every inequality together answers, zeros and any order included
+    rng = random.Random(4101)
+    checked = 0
+    for n in range(0, 10):
+        for terms in nonincreasing_positive_sequences(n, n):
+            residual = [d - 1 for d in terms]  # terms 0..n-1
+            rng.shuffle(residual)
+            assert _erdos_gallai_ok(residual) == erdos_gallai_graphic(residual), residual
+            checked += 1
+    assert checked == sum(comb(2 * n - 1, n) for n in range(1, 10)) + 1
 
 
 def test_enumeration_guards():
@@ -290,6 +345,23 @@ def test_oracle_matches_brute_force_over_all_small_sequences():
                 continue
             expected = any(brute_contains_bowtie(g) for g in graphs)
             assert oracle_has_bowtie_realization(DegreeSequence(terms)) == expected, terms
+
+
+def test_oracle_agrees_with_the_public_enumeration_and_detector():
+    # the oracle walks bitmask adjacencies; the public route builds a graph
+    # per realization and runs contains_bowtie on it
+    checked = 0
+    for n in range(5, 9):
+        for terms in nonincreasing_positive_sequences(n, n - 1):
+            if not erdos_gallai_graphic(list(terms)):
+                continue
+            seq = DegreeSequence(terms)
+            expected = any(
+                contains_bowtie(g) is not None for g in enumerate_realizations(seq)
+            )
+            assert oracle_has_bowtie_realization(seq) == expected, terms
+            checked += 1
+    assert checked == 1202
 
 
 # ----------------------------------------------------------------- wire formats
