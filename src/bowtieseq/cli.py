@@ -6,9 +6,9 @@ Subcommands:
   bowtie (two triangles sharing one vertex).
 * ``realize SEQ`` — build such a realization explicitly.
 * ``verify N`` — compare the decision procedure against the brute-force
-  oracle on every graphic sequence of length N (5..8).
+  oracle on every graphic sequence of length N (5..10).
 * ``sigma N`` — recompute the extremal degree-sum threshold empirically
-  for length N (5..8) and compare it with the closed form 4N - 4.
+  for length N (5..10) and compare it with the closed form 4N - 4.
 
 Sequences use run-length text, e.g. ``4,3^2,2^2``.  ``--output structured``
 switches reports to stable ``key=value`` lines that are byte-identical
@@ -28,7 +28,7 @@ import argparse
 import sys
 
 from .characterize import CheckReport, Failure, check_potentially, sigma_closed_form
-from .graphs import contains_bowtie, dot_text, edge_list_text
+from .graphs import ENUMERATION_LIMIT, contains_bowtie, dot_text, edge_list_text
 from .realizer import InternalExhaustion, NotPotentially, realize_with_bowtie
 from .sequences import ParseError, format_sequence, parse_sequence, sigma
 from .verify import CharacterizationMismatch, sigma_empirical, verify_characterization
@@ -38,7 +38,7 @@ EXIT_REJECTED = 1
 EXIT_USAGE = 2
 EXIT_FALSIFIED = 3
 
-_CLI_VERIFY_MAX = 8
+_CLI_VERIFY_MAX = ENUMERATION_LIMIT
 
 
 def _yn(flag: bool) -> str:
@@ -239,14 +239,14 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify", help="exhaustively cross-check the rules against the oracle"
     )
-    verify.add_argument("n", type=int, help="sequence length, 5..8")
+    verify.add_argument("n", type=int, help="sequence length, 5..10")
     verify.add_argument("--output", choices=("text", "structured"), default="text")
     verify.set_defaults(handler=_cmd_verify)
 
     sigma_cmd = sub.add_parser(
         "sigma", help="recompute the extremal threshold empirically"
     )
-    sigma_cmd.add_argument("n", type=int, help="sequence length, 5..8")
+    sigma_cmd.add_argument("n", type=int, help="sequence length, 5..10")
     sigma_cmd.add_argument("--output", choices=("text", "structured"), default="text")
     sigma_cmd.set_defaults(handler=_cmd_sigma)
 

@@ -5,7 +5,8 @@ a deterministic constructive realizer (repeated lay-off run in reverse), an
 exhaustive enumerator of labelled realizations for small sequences, and the
 brute-force oracle built on it.  The oracle is deliberately independent of
 the rule-based decision procedure in the characterize module so the two can
-cross-validate each other.
+cross-validate each other; its only shortcut is the bowtie's own degree
+demand (a vertex of degree >= 4 and five of degree >= 2).
 
 A bowtie is two triangles sharing one vertex: a centre c with four distinct
 neighbours a, b, d, e such that ab and de are edges.  Equivalently it is the
@@ -348,12 +349,17 @@ def oracle_has_bowtie_realization(seq: DegreeSequence) -> bool:
 
     Walks the same exhaustive enumeration as ``enumerate_realizations``,
     testing each bitmask adjacency for a bowtie, and stops at the first
-    witness.  Usable only within the enumeration limit; the characterize
-    module's rules are validated against this oracle, so it uses none of
-    them.
+    witness.  Sequences that cannot carry a bowtie by degrees alone are
+    answered without the walk.  Usable only within the enumeration limit;
+    the characterize module's rules are validated against this oracle, so
+    it uses none of them.
     """
     _check_enumerable(seq)
-    for adj in _realizations(seq.terms):
+    terms = seq.terms
+    # Bowtie facts, not the paper's rules: a degree-4 centre, five degrees >= 2.
+    if len(terms) < 5 or terms[0] < 4 or terms[4] < 2:
+        return False
+    for adj in _realizations(terms):
         if _least_bowtie(adj) is not None:
             return True
     return False

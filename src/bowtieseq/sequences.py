@@ -19,6 +19,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
+MAX_PARSED_TERMS = 10**6
+
+
 class ParseError(ValueError):
     """Sequence text does not follow the run-length grammar."""
 
@@ -101,7 +104,9 @@ def parse_sequence(text: str) -> DegreeSequence:
 
     Each comma-separated item is ``d`` or ``d^count`` with d >= 1 and
     count >= 1.  Whitespace around items is tolerated.  Raises ParseError
-    for anything else, including empty input and zero or negative degrees.
+    for anything else, including empty input and zero or negative degrees,
+    and for text with more than MAX_PARSED_TERMS terms in all (checked
+    before the terms are built, so huge run counts fail fast).
     """
     if not text or not text.strip():
         raise ParseError("empty sequence text")
@@ -126,6 +131,8 @@ def parse_sequence(text: str) -> DegreeSequence:
                 raise ParseError(f"run counts must be positive, got {count} in {text!r}")
         else:
             count = 1
+        if len(terms) + count > MAX_PARSED_TERMS:
+            raise ParseError(f"more than {MAX_PARSED_TERMS} terms")
         terms.extend([degree] * count)
     return DegreeSequence(terms)
 

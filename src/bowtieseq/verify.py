@@ -5,8 +5,13 @@ positive terms, runs the six-condition decision procedure on each, and
 compares against the brute-force oracle that enumerates realizations.
 It also recomputes the extremal degree-sum threshold empirically: the
 smallest even bound such that every graphic sequence at or above it is
-accepted.  Feasible for n up to the enumeration limit (the oracle visits
-every labeled realization); the acceptance suite runs n = 5..8.
+accepted.  Each sweep enumerates the sequences of its length once.
+
+Feasible for n up to the enumeration limit (10).  The oracle settles the
+sequences that fail the bowtie's degree demand (rules 1 and 2: no vertex of
+degree >= 4, or fewer than five of degree >= 2) without a walk; rules 3..6
+and every accepted sequence are decided by visiting labelled realizations.
+The acceptance suite runs n = 5..10.
 """
 
 from __future__ import annotations
@@ -72,18 +77,20 @@ def enumerate_graphic_sequences(n: int) -> Iterator[DegreeSequence]:
 
     prefix: list[int] = []
 
-    def extend(remaining: int, cap: int) -> Iterator[DegreeSequence]:
+    def extend(remaining: int, cap: int, total: int) -> Iterator[DegreeSequence]:
         if remaining == 0:
+            if total % 2:  # an odd degree sum is never graphic
+                return
             candidate = DegreeSequence(prefix)
             if is_graphic(candidate):
                 yield candidate
             return
         for degree in range(cap, 0, -1):
             prefix.append(degree)
-            yield from extend(remaining - 1, degree)
+            yield from extend(remaining - 1, degree, total + degree)
             prefix.pop()
 
-    yield from extend(n, n - 1)
+    yield from extend(n, n - 1, 0)
 
 
 def _check_range(n: int) -> None:
@@ -125,16 +132,17 @@ def sigma_empirical(n: int) -> SigmaReport:
     boundary check disagrees.
     """
     _check_range(n)
+    sequences = list(enumerate_graphic_sequences(n))
     worst_sum = -1
     worst: DegreeSequence | None = None
-    for seq in enumerate_graphic_sequences(n):
+    for seq in sequences:
         if not check_potentially(seq).potentially and sigma(seq) > worst_sum:
             worst_sum = sigma(seq)
             worst = seq
     if worst is None:  # cannot happen for n >= 5, guarded for safety
         raise CharacterizationMismatch(f"no rejected sequence of length {n} found")
     bound = worst_sum + 2
-    for seq in enumerate_graphic_sequences(n):
+    for seq in sequences:
         if sigma(seq) not in (worst_sum, bound):
             continue
         checker = check_potentially(seq).potentially

@@ -89,34 +89,37 @@ def assert_witness_certificate(graph, seq) -> None:
 
 def test_decision_rules_match_the_exhaustive_oracle():
     started = time.monotonic()
-    tested = 0
+    tested = {}
     accepted = 0
-    for n in range(5, 9):
+    for n in range(5, 11):
         summary = verify_characterization(n)
         assert summary.ok, summary.mismatches
         assert summary.mismatches == ()
-        tested += summary.sequences_tested
+        tested[n] = summary.sequences_tested
         accepted += summary.potentially_count
     elapsed = time.monotonic() - started
+    # graphic sequences of length n with positive terms: differences of
+    # OEIS A004251, so a sweep that silently drops sequences fails here
+    assert tested == {5: 20, 6: 71, 7: 240, 8: 871, 9: 3148, 10: 11655}
     assert elapsed < 300
     print(
         f"PASS: decision rules agree with the brute-force oracle on every "
-        f"graphic sequence of length 5..8 ({tested} sequences, {accepted} "
-        f"accepted, 0 mismatches, {elapsed:.1f}s)"
+        f"graphic sequence of length 5..10 ({sum(tested.values())} sequences, "
+        f"{accepted} accepted, 0 mismatches, {elapsed:.1f}s)"
     )
 
 
 def test_empirical_threshold_matches_the_closed_form():
     bounds = {}
-    for n in range(5, 9):
+    for n in range(5, 11):
         report = sigma_empirical(n)
         assert report.bound == sigma_closed_form(n) == 4 * n - 4
         assert sigma(report.witness) == report.bound - 2
         bounds[n] = report.bound
-    assert bounds == {5: 16, 6: 20, 7: 24, 8: 28}
+    assert bounds == {5: 16, 6: 20, 7: 24, 8: 28, 9: 32, 10: 36}
     print(
-        "PASS: empirically recomputed degree-sum thresholds for n=5..8 are "
-        "16, 20, 24, 28, matching the closed form 4n-4"
+        "PASS: empirically recomputed degree-sum thresholds for n=5..10 are "
+        "16, 20, 24, 28, 32, 36, matching the closed form 4n-4"
     )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -268,10 +269,19 @@ def test_parse_errors_exit_2(capsys):
 
 
 def test_out_of_range_n_exits_2(capsys):
-    for command, n in (("verify", "4"), ("verify", "9"), ("sigma", "4"), ("sigma", "11")):
+    for command, n in (("verify", "4"), ("verify", "11"), ("sigma", "4"), ("sigma", "11")):
         code, _, err = run_cli(capsys, command, n)
         assert code == 2
-        assert "between 5 and 8" in err
+        assert "between 5 and 10" in err
+
+
+def test_huge_run_count_exits_2_without_building_the_terms(capsys):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "check", "4^1000000000000")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: more than 1000000 terms")
 
 
 def test_usage_errors_exit_2(capsys):

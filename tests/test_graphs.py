@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+import bowtieseq.graphs as graphs_module
 from _brute import (
     all_graphs,
     brute_all_witnesses,
@@ -362,6 +363,31 @@ def test_oracle_agrees_with_the_public_enumeration_and_detector():
             assert oracle_has_bowtie_realization(seq) == expected, terms
             checked += 1
     assert checked == 1202
+
+
+class _Walked(Exception):
+    pass
+
+
+def _walk_forbidden(terms):
+    raise _Walked(terms)
+
+
+@pytest.mark.parametrize("text", ["3^10", "4^4,1^6", "4^2,2^2,1^2", "4,2^3,1^2"])
+def test_oracle_degree_gate_answers_without_walking(monkeypatch, text):
+    # no vertex of degree >= 4, or fewer than five of degree >= 2
+    monkeypatch.setattr(graphs_module, "_realizations", _walk_forbidden)
+    assert oracle_has_bowtie_realization(parse_sequence(text)) is False
+
+
+@pytest.mark.parametrize(
+    "text", ["4,2^4", "4,3^2,2^2", "4^2,2^4", "4^2,2^3", "4,2^5", "4,2^6"]
+)
+def test_oracle_walks_every_sequence_past_the_gate(monkeypatch, text):
+    # accepted sequences and rules 3..6 are still settled by the walk
+    monkeypatch.setattr(graphs_module, "_realizations", _walk_forbidden)
+    with pytest.raises(_Walked):
+        oracle_has_bowtie_realization(parse_sequence(text))
 
 
 # ----------------------------------------------------------------- wire formats

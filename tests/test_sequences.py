@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -21,6 +22,7 @@ from bowtieseq import (
     parse_sequence,
     sigma,
 )
+from bowtieseq.sequences import MAX_PARSED_TERMS
 
 
 def seq(*terms: int) -> DegreeSequence:
@@ -94,6 +96,15 @@ def test_parse_rejects_malformed_text():
                 "4^", "^3", "x", "4^x", "3.5", "4 3"):
         with pytest.raises(ParseError):
             parse_sequence(bad)
+
+
+def test_parse_bounds_the_total_term_count():
+    assert len(parse_sequence(f"2^{MAX_PARSED_TERMS}")) == MAX_PARSED_TERMS
+    started = time.perf_counter()
+    for bad in ("4^1000000000000", f"2^{MAX_PARSED_TERMS},2", f"3,1^{MAX_PARSED_TERMS}"):
+        with pytest.raises(ParseError, match="more than"):
+            parse_sequence(bad)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_format_uses_maximal_runs():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+import bowtieseq.verify as verify_module
+from _brute import erdos_gallai_graphic, nonincreasing_positive_sequences
 from bowtieseq import (
     DegreeSequence,
     check_potentially,
@@ -42,6 +44,16 @@ def test_enumeration_is_sorted_and_duplicate_free():
 def test_enumeration_counts_for_small_lengths():
     counts = {n: sum(1 for _ in enumerate_graphic_sequences(n)) for n in range(2, 8)}
     assert counts == {2: 1, 3: 2, 4: 7, 5: 20, 6: 71, 7: 240}
+
+
+def test_enumeration_is_the_graphic_filter_of_all_candidates_in_order():
+    for n in range(2, 9):
+        expected = [
+            terms
+            for terms in nonincreasing_positive_sequences(n, n - 1)
+            if erdos_gallai_graphic(list(terms))
+        ]
+        assert [s.terms for s in enumerate_graphic_sequences(n)] == expected
 
 
 def test_enumerated_sequences_are_graphic_with_positive_terms():
@@ -108,6 +120,18 @@ def test_threshold_witness_is_maximal_among_rejected():
         if not check_potentially(s).potentially
     )
     assert sigma(report.witness) == worst == report.bound - 2
+
+
+def test_threshold_enumerates_the_sequences_once(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return enumerate_graphic_sequences(n)
+
+    monkeypatch.setattr(verify_module, "enumerate_graphic_sequences", counted)
+    assert sigma_empirical(7).bound == 24
+    assert calls == [7]
 
 
 def test_threshold_range_is_guarded():
