@@ -108,6 +108,16 @@ def check_potentially(seq: DegreeSequence) -> CheckReport:
     """
     if not is_graphic(seq):
         return CheckReport(graphic=False, potentially=False, failure=Failure.NOT_GRAPHIC)
+    return _rule_report(seq)
+
+
+def _rule_report(seq: DegreeSequence) -> CheckReport:
+    """Length and rules 1 through 6 for a sequence already known graphic.
+
+    ``check_potentially`` reaches this after its own graphicality test; the
+    verify module calls it directly on sequences its enumerator has proved
+    graphic, so each of them is proved graphic once.
+    """
     n = len(seq)
     if n < 5:
         return CheckReport(graphic=True, potentially=False, failure=Failure.TOO_SHORT)

@@ -234,13 +234,15 @@ def havel_hakimi_realize(seq: DegreeSequence) -> SimpleGraph:
     return graph
 
 
-def _erdos_gallai_ok(residual: list[int]) -> bool:
+def _erdos_gallai_ok(residual: Iterable[int]) -> bool:
     """Whether the residual demands (zeros allowed) extend to a simple graph.
 
     If any Erdős–Gallai inequality fails, one fails where a run of equal
     degrees ends (Tripathi & Vijay, Discrete Math. 2003), so only those k
     are tested, and the tail sum is skipped where prefix <= k(k-1) holds
     on its own.  The answer is the one the full set of inequalities gives.
+    This is the graphicality proof of the walk's prune, of the oracle and of
+    the verify module's enumerator alike.
     """
     degs = sorted(residual, reverse=True)
     degs.append(0)  # sentinel: closes the last run and bounds the positives
@@ -255,7 +257,10 @@ def _erdos_gallai_ok(residual: list[int]) -> bool:
         prefix += d
         if d == degs[k] or prefix <= k * (k - 1):
             continue
-        if prefix > k * (k - 1) + sum(min(x, k) for x in degs[k:m]):
+        bound = k * (k - 1)
+        for x in degs[k:m]:
+            bound += x if x < k else k
+        if prefix > bound:
             return False
     return True
 
@@ -264,7 +269,7 @@ def _check_enumerable(seq: DegreeSequence) -> None:
     n = len(seq)
     if n > ENUMERATION_LIMIT:
         raise TooLarge(f"enumeration is limited to {ENUMERATION_LIMIT} vertices, got {n}")
-    if not is_graphic(seq):
+    if not _erdos_gallai_ok(seq.terms):
         raise NotGraphic(f"{seq} is not graphic")
 
 

@@ -20,6 +20,7 @@ from typing import Iterable, Iterator
 
 
 MAX_PARSED_TERMS = 10**6
+QUOTE_LIMIT = 80  # characters of input text quoted in a ParseError
 
 
 class ParseError(ValueError):
@@ -99,6 +100,17 @@ class LayoffTrace:
         return tuple(self.parent[i] - 1 for i in self.decremented_positions)
 
 
+def _quote(text: str) -> str:
+    """Quote text for an error message, cut after QUOTE_LIMIT characters.
+
+    A cut is marked with the full length, so a long input cannot make a
+    long error line.
+    """
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
 def parse_sequence(text: str) -> DegreeSequence:
     """Parse run-length sequence text such as ``"4^2,2^3"`` or ``"4,3,2"``.
 
@@ -106,7 +118,9 @@ def parse_sequence(text: str) -> DegreeSequence:
     count >= 1.  Whitespace around items is tolerated.  Raises ParseError
     for anything else, including empty input and zero or negative degrees,
     and for text with more than MAX_PARSED_TERMS terms in all (checked
-    before the terms are built, so huge run counts fail fast).
+    before the terms are built, so huge run counts fail fast).  Error
+    messages quote the offending item and the text, each cut after
+    QUOTE_LIMIT characters.
     """
     if not text or not text.strip():
         raise ParseError("empty sequence text")
@@ -114,21 +128,30 @@ def parse_sequence(text: str) -> DegreeSequence:
     for raw in text.split(","):
         item = raw.strip()
         if not item:
-            raise ParseError(f"empty item in sequence text {text!r}")
+            raise ParseError(f"empty item in sequence text {_quote(text)}")
         degree_part, _, count_part = item.partition("^")
         try:
             degree = int(degree_part)
         except ValueError:
-            raise ParseError(f"bad degree {degree_part!r} in {text!r}") from None
+            raise ParseError(
+                f"bad degree {_quote(degree_part)} in {_quote(text)}"
+            ) from None
         if degree < 1:
-            raise ParseError(f"degrees must be positive, got {degree} in {text!r}")
+            raise ParseError(
+                f"degrees must be positive, got {_quote(degree_part)} in {_quote(text)}"
+            )
         if count_part or "^" in item:
             try:
                 count = int(count_part)
             except ValueError:
-                raise ParseError(f"bad run count {count_part!r} in {text!r}") from None
+                raise ParseError(
+                    f"bad run count {_quote(count_part)} in {_quote(text)}"
+                ) from None
             if count < 1:
-                raise ParseError(f"run counts must be positive, got {count} in {text!r}")
+                raise ParseError(
+                    f"run counts must be positive, got {_quote(count_part)}"
+                    f" in {_quote(text)}"
+                )
         else:
             count = 1
         if len(terms) + count > MAX_PARSED_TERMS:

@@ -7,6 +7,13 @@ It also recomputes the extremal degree-sum threshold empirically: the
 smallest even bound such that every graphic sequence at or above it is
 accepted.  Each sweep enumerates the sequences of its length once.
 
+Graphicality is proved by the Erdős–Gallai test of the graphs module: the
+enumerator keeps only the candidates that pass it, the rules then run on
+them without a second proof (``characterize._rule_report``), and the
+oracle's entry guard uses the same cheap test.  The lay-off test
+``sequences.is_graphic``, which ``check_potentially`` runs before the
+rules, is not on this path, so the test suite checks it on its own.
+
 Feasible for n up to the enumeration limit (10).  The oracle settles the
 sequences that fail the bowtie's degree demand (rules 1 and 2: no vertex of
 degree >= 4, or fewer than five of degree >= 2) without a walk; rules 3..6
@@ -18,10 +25,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
-from .characterize import SigmaReport, check_potentially
-from .graphs import ENUMERATION_LIMIT, oracle_has_bowtie_realization
-from .sequences import DegreeSequence, is_graphic, sigma
+from .characterize import SigmaReport, _rule_report
+from .graphs import ENUMERATION_LIMIT, _erdos_gallai_ok, oracle_has_bowtie_realization
+from .sequences import DegreeSequence, sigma
 
 
 class CharacterizationMismatch(RuntimeError):
@@ -70,27 +78,17 @@ def enumerate_graphic_sequences(n: int) -> Iterator[DegreeSequence]:
     """Yield every graphic sequence of length n with positive terms.
 
     Emission order is decreasing lexicographic on the sorted terms, which
-    makes downstream reports and tie-breaks reproducible.
+    makes downstream reports and tie-breaks reproducible.  The candidates
+    are the nonincreasing n-tuples over n-1..1, which
+    ``combinations_with_replacement`` yields in exactly that order; each is
+    proved graphic by the Erdős–Gallai test (odd sums fail it at once)
+    before a DegreeSequence is built for it.
     """
     if n < 1:
         return
-
-    prefix: list[int] = []
-
-    def extend(remaining: int, cap: int, total: int) -> Iterator[DegreeSequence]:
-        if remaining == 0:
-            if total % 2:  # an odd degree sum is never graphic
-                return
-            candidate = DegreeSequence(prefix)
-            if is_graphic(candidate):
-                yield candidate
-            return
-        for degree in range(cap, 0, -1):
-            prefix.append(degree)
-            yield from extend(remaining - 1, degree, total + degree)
-            prefix.pop()
-
-    yield from extend(n, n - 1, 0)
+    for terms in combinations_with_replacement(range(n - 1, 0, -1), n):
+        if _erdos_gallai_ok(terms):
+            yield DegreeSequence(terms)
 
 
 def _check_range(n: int) -> None:
@@ -109,7 +107,7 @@ def verify_characterization(n: int) -> VerificationSummary:
     mismatches: list[Mismatch] = []
     for seq in enumerate_graphic_sequences(n):
         tested += 1
-        checker = check_potentially(seq).potentially
+        checker = _rule_report(seq).potentially
         oracle = oracle_has_bowtie_realization(seq)
         if checker:
             accepted += 1
@@ -129,23 +127,26 @@ def sigma_empirical(n: int) -> SigmaReport:
     boundary (that sum and the next even value) is then re-decided by the
     exhaustive oracle so the reported threshold does not rest on the
     decision procedure alone.  Raises CharacterizationMismatch if the
-    boundary check disagrees.
+    boundary check disagrees.  The sequences are enumerated and decided
+    once; the boundary pass reuses those verdicts.
     """
     _check_range(n)
-    sequences = list(enumerate_graphic_sequences(n))
+    scanned = [
+        (seq, sigma(seq), _rule_report(seq).potentially)
+        for seq in enumerate_graphic_sequences(n)
+    ]
     worst_sum = -1
     worst: DegreeSequence | None = None
-    for seq in sequences:
-        if not check_potentially(seq).potentially and sigma(seq) > worst_sum:
-            worst_sum = sigma(seq)
+    for seq, total, accepted in scanned:
+        if not accepted and total > worst_sum:
+            worst_sum = total
             worst = seq
     if worst is None:  # cannot happen for n >= 5, guarded for safety
         raise CharacterizationMismatch(f"no rejected sequence of length {n} found")
     bound = worst_sum + 2
-    for seq in sequences:
-        if sigma(seq) not in (worst_sum, bound):
+    for seq, total, checker in scanned:
+        if total not in (worst_sum, bound):
             continue
-        checker = check_potentially(seq).potentially
         oracle = oracle_has_bowtie_realization(seq)
         if checker != oracle:
             raise CharacterizationMismatch(

@@ -254,3 +254,32 @@ def test_round_trips_and_byte_identical_cli_runs(capsys):
         "PASS: parse/format round-trips held for 1000 random sequences and "
         f"{len(commands)} CLI invocations were byte-identical across repeated runs"
     )
+
+
+# The structured output of `verify N` and `sigma N` for N = 5..8: the 48
+# lines the benchmark's verify workload checks.  A change to these bytes
+# changes what the package reports.
+GOLDEN_STRUCTURED = {
+    ("verify", 5): "n=5\nsequences_tested=20\npotentially=6\nrejected=14\nmismatches=0\nresult=ok\n",
+    ("sigma", 5): "n=5\nempirical=16\nclosed_form=16\nagree=yes\nwitness=4^2,2^3\nwitness_sum=14\n",
+    ("verify", 6): "n=6\nsequences_tested=71\npotentially=41\nrejected=30\nmismatches=0\nresult=ok\n",
+    ("sigma", 6): "n=6\nempirical=20\nclosed_form=20\nagree=yes\nwitness=5^2,2^4\nwitness_sum=18\n",
+    ("verify", 7): "n=7\nsequences_tested=240\npotentially=199\nrejected=41\nmismatches=0\nresult=ok\n",
+    ("sigma", 7): "n=7\nempirical=24\nclosed_form=24\nagree=yes\nwitness=6^2,2^5\nwitness_sum=22\n",
+    ("verify", 8): "n=8\nsequences_tested=871\npotentially=808\nrejected=63\nmismatches=0\nresult=ok\n",
+    ("sigma", 8): "n=8\nempirical=28\nclosed_form=28\nagree=yes\nwitness=7^2,2^6\nwitness_sum=26\n",
+}
+
+
+def test_structured_verify_and_sigma_output_is_pinned(capsys):
+    lines = 0
+    for (command, n), expected in GOLDEN_STRUCTURED.items():
+        code = cli.main([command, str(n), "--output", "structured"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (0, expected, ""), (command, n)
+        lines += expected.count("\n")
+    assert lines == 48
+    print(
+        "PASS: structured output of verify and sigma for N=5..8 matches the "
+        f"recorded {lines} lines byte for byte"
+    )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from _brute import erdos_gallai_graphic, nonincreasing_positive_sequences
 from bowtieseq import (
     CheckReport,
     DegreeSequence,
@@ -16,6 +17,7 @@ from bowtieseq import (
     sigma_closed_form,
     sigma_witness,
 )
+from bowtieseq.characterize import _rule_report
 
 
 def report(text: str) -> CheckReport:
@@ -164,3 +166,25 @@ def test_sigma_witness_is_an_extremal_rejected_sequence():
         assert r.graphic
         assert r.failure is Failure.COND4
         assert (r.cond4_k, r.cond4_i) == (1, n - 2)
+
+
+# --------------------------------------------------- graphicality, then rules
+
+
+def test_check_is_the_graphicality_test_followed_by_the_rules():
+    # the verify sweep calls _rule_report directly; this keeps the
+    # graphicality step of check_potentially covered on every candidate
+    not_graphic = CheckReport(graphic=False, potentially=False, failure=Failure.NOT_GRAPHIC)
+    graphic_counts = {}
+    rejected = 0
+    for n in range(9):
+        graphic_counts[n] = 0
+        for terms in nonincreasing_positive_sequences(n, n):
+            seq = DegreeSequence(terms)
+            graphic = erdos_gallai_graphic(list(terms))
+            expected = _rule_report(seq) if graphic else not_graphic
+            assert check_potentially(seq) == expected, terms
+            graphic_counts[n] += graphic
+            rejected += not graphic
+    assert graphic_counts == {0: 1, 1: 0, 2: 1, 3: 2, 4: 7, 5: 20, 6: 71, 7: 240, 8: 871}
+    assert rejected > sum(graphic_counts.values())

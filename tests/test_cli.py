@@ -322,3 +322,12 @@ def test_installed_console_script_runs():
     )
     assert proc.returncode == 0
     assert "potentially: yes" in proc.stdout
+
+
+def test_parse_error_line_stays_short_for_a_huge_text(capsys):
+    code, out, err = run_cli(capsys, "check", "1," * 500000 + "x")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad degree 'x' in ")
+    assert err.count("\n") == 1
+    assert len(err) < 200

@@ -390,6 +390,25 @@ def test_oracle_walks_every_sequence_past_the_gate(monkeypatch, text):
         oracle_has_bowtie_realization(parse_sequence(text))
 
 
+@pytest.mark.parametrize("text", ["4^4,2", "3^2,1^2"])
+def test_oracle_rejects_non_graphic_input_before_the_gate(monkeypatch, text):
+    # 4^4,2 passes the degree gate and would be walked; 3^2,1^2 would be gated
+    monkeypatch.setattr(graphs_module, "_realizations", _walk_forbidden)
+    with pytest.raises(NotGraphic):
+        oracle_has_bowtie_realization(parse_sequence(text))
+
+
+def test_oracle_size_guard_comes_before_any_graphicality_work(monkeypatch):
+    def forbidden(terms):
+        raise AssertionError("graphicality tested before the size guard")
+
+    monkeypatch.setattr(graphs_module, "_erdos_gallai_ok", forbidden)
+    monkeypatch.setattr(graphs_module, "is_graphic", forbidden)
+    for terms in ([2] * (ENUMERATION_LIMIT + 1), [3] * (ENUMERATION_LIMIT + 1)):
+        with pytest.raises(TooLarge):
+            oracle_has_bowtie_realization(DegreeSequence(terms))
+
+
 # ----------------------------------------------------------------- wire formats
 
 

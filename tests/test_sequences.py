@@ -22,7 +22,7 @@ from bowtieseq import (
     parse_sequence,
     sigma,
 )
-from bowtieseq.sequences import MAX_PARSED_TERMS
+from bowtieseq.sequences import MAX_PARSED_TERMS, QUOTE_LIMIT
 
 
 def seq(*terms: int) -> DegreeSequence:
@@ -105,6 +105,25 @@ def test_parse_bounds_the_total_term_count():
         with pytest.raises(ParseError, match="more than"):
             parse_sequence(bad)
     assert time.perf_counter() - started < 1.0
+
+
+def test_parse_errors_quote_a_bounded_excerpt():
+    cases = [
+        ("1," * 500000 + "x", "'x'"),  # bad item at the end of a long text
+        ("x" * 10**6, "characters)"),  # the bad item itself is long
+        ("2," * 100 + "0", "got '0'"),
+        ("2," * 100 + "3^-1", "got '-1'"),
+        ("2," * 100 + ",", "empty item"),
+    ]
+    for text, named in cases:
+        with pytest.raises(ParseError) as exc:
+            parse_sequence(text)
+        message = str(exc.value)
+        assert named in message
+        assert len(message) < 2 * QUOTE_LIMIT + 100
+        assert f"({len(text)} characters)" in message
+    with pytest.raises(ParseError, match=r"^bad degree 'x' in '4,x'$"):
+        parse_sequence("4,x")
 
 
 def test_format_uses_maximal_runs():

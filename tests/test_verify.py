@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+import bowtieseq.characterize as characterize_module
+import bowtieseq.graphs as graphs_module
 import bowtieseq.verify as verify_module
 from _brute import erdos_gallai_graphic, nonincreasing_positive_sequences
 from bowtieseq import (
@@ -138,3 +140,32 @@ def test_threshold_range_is_guarded():
     for bad in (4, 11):
         with pytest.raises(ValueError):
             sigma_empirical(bad)
+
+
+# ------------------------------------------------------------ one proof each
+
+
+def _no_lay_off_test(seq):
+    raise AssertionError(f"is_graphic called on {seq}")
+
+
+def test_sweep_and_threshold_never_run_the_lay_off_test(monkeypatch):
+    # graphicality comes from the Erdos-Gallai test alone, never from is_graphic
+    for module in (verify_module, characterize_module, graphs_module):
+        monkeypatch.setattr(module, "is_graphic", _no_lay_off_test, raising=False)
+    summary = verify_characterization(8)
+    assert summary.sequences_tested == 871 and summary.ok
+    assert sigma_empirical(8).bound == 28
+
+
+def test_threshold_decides_each_sequence_once(monkeypatch):
+    calls = []
+
+    def counted(seq):
+        calls.append(seq)
+        return characterize_module._rule_report(seq)
+
+    monkeypatch.setattr(verify_module, "_rule_report", counted)
+    assert sigma_empirical(8).bound == 28
+    assert len(calls) == 871
+    assert len(set(calls)) == 871
