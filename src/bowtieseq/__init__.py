@@ -33,7 +33,6 @@ from .graphs import (
     dot_text,
     edge_list_text,
     enumerate_realizations,
-    havel_hakimi_realize,
     oracle_has_bowtie_realization,
 )
 from .realizer import (
@@ -104,7 +103,6 @@ __all__ = [
     "enumerate_graphic_sequences",
     "family_sequence",
     "format_sequence",
-    "havel_hakimi_realize",
     "is_graphic",
     "lay_off",
     "match_family",

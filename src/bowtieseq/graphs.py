@@ -1,12 +1,13 @@
 """Simple labelled graphs and the bowtie machinery.
 
 Provides the graph value type, degree extraction, bowtie-subgraph detection,
-a deterministic constructive realizer (repeated lay-off run in reverse), an
-exhaustive enumerator of labelled realizations for small sequences, and the
-brute-force oracle built on it.  The oracle is deliberately independent of
-the rule-based decision procedure in the characterize module so the two can
-cross-validate each other; its only shortcut is the bowtie's own degree
-demand (a vertex of degree >= 4 and five of degree >= 2).
+the step that adds one vertex by its neighbours' degrees (a lay-off run in
+reverse), an exhaustive enumerator of labelled realizations for small
+sequences, and the brute-force oracle built on it.  The oracle is
+deliberately independent of the rule-based decision procedure in the
+characterize module so the two can cross-validate each other; its only
+shortcut is the bowtie's own degree demand (a vertex of degree >= 4 and
+five of degree >= 2).
 
 A bowtie is two triangles sharing one vertex: a centre c with four distinct
 neighbours a, b, d, e such that ab and de are edges.  Equivalently it is the
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .sequences import DegreeSequence, LayoffTrace, is_graphic, lay_off
+from .sequences import DegreeSequence
 
 ENUMERATION_LIMIT = 10
 
@@ -188,50 +189,37 @@ def attach_by_degrees(graph: SimpleGraph, neighbour_degrees: Iterable[int]) -> S
     For each required degree (largest first) the lowest-index unused vertex
     currently of that degree is chosen; required zeros create fresh isolated
     vertices first.  This inverts a lay-off step at the degree level and is
-    shared by the constructive realizer and the trace-based reattach.
+    what ``reattach`` does; the realizer runs the same step in place.
     """
-    targets = sorted(neighbour_degrees, reverse=True)
-    current = graph.degrees()
-    used = [False] * graph.vertex_count
+    degrees = graph.degrees()
     edges = list(graph.edges)
-    next_fresh = graph.vertex_count
-    picks: list[int] = []
-    for target in targets:
-        if target == 0:
-            picks.append(next_fresh)
-            next_fresh += 1
-            continue
-        for v, d in enumerate(current):
-            if d == target and not used[v]:
-                used[v] = True
-                picks.append(v)
-                break
-        else:
-            raise TraceMismatch(f"no unused vertex of degree {target}")
-    new_vertex = next_fresh
-    edges.extend((v, new_vertex) for v in picks)
-    return SimpleGraph(new_vertex + 1, edges)
+    _attach(degrees, edges, neighbour_degrees)
+    return SimpleGraph(len(degrees), edges)
 
 
-def havel_hakimi_realize(seq: DegreeSequence) -> SimpleGraph:
-    """Build one deterministic realization by inverting repeated lay-off.
+def _attach(
+    degrees: list[int], edges: list[tuple[int, int]], neighbour_degrees: Iterable[int]
+) -> None:
+    """``attach_by_degrees`` on a degree list and an edge list, in place.
 
-    The sequence is laid off down to the empty sequence, then rebuilt one
-    vertex at a time with attach_by_degrees.  Raises NotGraphic when the
-    sequence has no realization.
+    Equal required degrees come in a row; each looks above the last pick.
     """
-    if not is_graphic(seq):
-        raise NotGraphic(f"{seq} is not graphic")
-    traces: list[LayoffTrace] = []
-    current = seq
-    while len(current) > 0:
-        trace = lay_off(current)
-        traces.append(trace)
-        current = trace.child
-    graph = SimpleGraph(0)
-    for trace in reversed(traces):
-        graph = attach_by_degrees(graph, trace.decremented_degrees)
-    return graph
+    picks: list[int] = []
+    for target in sorted(neighbour_degrees, reverse=True):
+        if target == 0:
+            picks.append(len(degrees))
+            degrees.append(0)
+            continue
+        start = picks[-1] + 1 if picks and degrees[picks[-1]] == target else 0
+        try:
+            picks.append(degrees.index(target, start))
+        except ValueError:
+            raise TraceMismatch(f"no unused vertex of degree {target}") from None
+    new_vertex = len(degrees)
+    for v in picks:
+        degrees[v] += 1
+        edges.append((v, new_vertex))
+    degrees.append(len(picks))
 
 
 def _erdos_gallai_ok(residual: Iterable[int]) -> bool:
@@ -330,6 +318,14 @@ def _realizations(terms: tuple[int, ...]) -> Iterator[list[int]]:
             return
 
 
+def _first_bowtie_adjacency(terms: tuple[int, ...]) -> list[int] | None:
+    """A copy of the first adjacency of the walk that holds a bowtie, or None."""
+    for adj in _realizations(terms):
+        if _least_bowtie(adj) is not None:
+            return adj.copy()
+    return None
+
+
 def enumerate_realizations(seq: DegreeSequence) -> Iterator[SimpleGraph]:
     """Yield every labelled realization of the sequence, deterministically.
 
@@ -364,10 +360,7 @@ def oracle_has_bowtie_realization(seq: DegreeSequence) -> bool:
     # Bowtie facts, not the paper's rules: a degree-4 centre, five degrees >= 2.
     if len(terms) < 5 or terms[0] < 4 or terms[4] < 2:
         return False
-    for adj in _realizations(terms):
-        if _least_bowtie(adj) is not None:
-            return True
-    return False
+    return _first_bowtie_adjacency(terms) is not None
 
 
 def edge_list_text(graph: SimpleGraph, witness: BowtieWitness | None = None) -> str:

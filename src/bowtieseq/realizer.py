@@ -1,38 +1,43 @@
 """Constructive realizations containing a bowtie, for accepted sequences.
 
-``realize_with_bowtie`` mirrors the inductive structure of the decision
-procedure: small sequences take the first witness from the exhaustive
-enumerator; otherwise one lay-off step reduces to a shorter accepted
-sequence whose realization is extended back by ``reattach``; and when the
-lay-off child is rejected, the sequence must belong to one of eleven
-closed families with a direct parameterized construction.
+``realize_with_bowtie`` builds a realization by vertex deletions alone.
+While the sequence is longer than ENUMERATION_LIMIT, it deletes the first
+candidate of ``_deletions`` whose child is accepted (one exists: a bowtie
+realization has a vertex outside its bowtie).  Each child is proved graphic
+by the Erdős–Gallai test first; the lay-off of any vertex onto the largest
+other terms always passes (Kleitman & Wang 1973).  The short sequence left
+takes the first bowtie realization of the exhaustive walk, and the deleted
+vertices are added back, last first, joined to vertices of the degrees
+their deletions decremented; adding edges never loses a bowtie.
 
-Every family constructor places the bowtie on vertices 0..4 (centre 0) and
-completes the remaining degree demands with paths, cycles, chord matchings,
-and pendant edges.  Constructions are validated after building: the degree
-sequence must match exactly and the bowtie detector must succeed.  A
-validation failure, or an accepted sequence that fits no branch, raises
-InternalExhaustion: that alarm firing means the characterization itself has
-been falsified and must never be swallowed.
+The result must have exactly the input degrees and a bowtie.  A failed
+validation, or an accepted sequence with no accepted child, raises
+InternalExhaustion: the characterization itself has been falsified, so the
+alarm must never be swallowed.  ``construct_family`` realizes a member of
+the family vocabulary through ``realize_with_bowtie``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, groupby
 
-from .characterize import check_potentially
+from .characterize import _rule_report, check_potentially
 from .graphs import (
     SimpleGraph,
     TraceMismatch,
     ZeroDegreeVertex,
+    _attach,
+    _erdos_gallai_ok,
+    _first_bowtie_adjacency,
     attach_by_degrees,
     contains_bowtie,
     degree_sequence,
-    enumerate_realizations,
     ENUMERATION_LIMIT,
 )
-from .sequences import DegreeSequence, LayoffTrace, lay_off
+from .sequences import DegreeSequence, LayoffTrace
 
 
 class BadParams(ValueError):
@@ -52,7 +57,7 @@ class InternalExhaustion(RuntimeError):
 
 
 class FamilyId(Enum):
-    """The eleven closed families the inductive step bottoms out in.
+    """The eleven closed shapes whose lay-off child can be rejected.
 
     Digits name the degree values in the family's sequence shape, e.g.
     F11_4321 is the shape (4, 3^a, 2^b, 1^c).
@@ -158,294 +163,6 @@ def match_family(seq: DegreeSequence) -> FamilyPattern | None:
     return None
 
 
-# Completion building blocks.  All functions return edge lists; the bowtie
-# itself always sits on vertices 0..4 with centre 0.  The straight wing
-# pairing is (1,2),(3,4); the cross pairing (1,3),(2,4) is used by a few
-# small cases that need the 1-2 pair free for the completion.
-
-
-def _bowtie_edges(cross: bool = False) -> list[tuple[int, int]]:
-    spokes = [(0, 1), (0, 2), (0, 3), (0, 4)]
-    wings = [(1, 3), (2, 4)] if cross else [(1, 2), (3, 4)]
-    return spokes + wings
-
-
-def _path_edges(nodes: list[int]) -> list[tuple[int, int]]:
-    return [(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)]
-
-
-def _cycle_edges(nodes: list[int]) -> list[tuple[int, int]]:
-    assert len(nodes) >= 3
-    return _path_edges(nodes) + [(nodes[-1], nodes[0])]
-
-
-def _matching_edges(nodes: list[int]) -> list[tuple[int, int]]:
-    assert len(nodes) % 2 == 0
-    return [(nodes[i], nodes[i + 1]) for i in range(0, len(nodes), 2)]
-
-
-def _cycle_with_stubs(cycle: list[int], sources: list[int]) -> list[tuple[int, int]]:
-    """Degree-3 completion of a cycle: every cycle vertex gets one extra
-    edge, either a stub from ``sources`` or a chord to another cycle vertex.
-
-    Requires len(cycle) >= 3 and an even surplus r = len(cycle) -
-    len(sources) >= 0; for r = 2 at least one source (the chord pair is
-    then placed around one receiver so it never duplicates a cycle edge).
-    """
-    t, s = len(cycle), len(sources)
-    r = t - s
-    assert t >= 3 and r >= 0 and r % 2 == 0
-    edges = _cycle_edges(cycle)
-    if r == 0:
-        receivers = cycle[:]
-    elif r == 2:
-        # The chord skips one vertex, so the cycle must have length >= 4
-        # for it not to duplicate a cycle edge.
-        assert s >= 1 and t >= 4
-        receivers = cycle[: s - 1] + [cycle[s]]
-        edges.append((cycle[s - 1], cycle[s + 1]))
-    else:
-        receivers = cycle[:s]
-        arc = cycle[s:]
-        half = r // 2
-        edges.extend((arc[j], arc[j + half]) for j in range(half))
-    edges.extend(zip(sources, receivers))
-    return edges
-
-
-def _build_f1_433(n: int) -> SimpleGraph:
-    # Targets: 0,1,2 of degree 4; everyone else 3.
-    if n == 7:
-        edges = _bowtie_edges() + [(1, 5), (1, 6), (2, 5), (2, 6), (3, 5), (4, 6)]
-    else:
-        tail = list(range(5, n))
-        edges = _bowtie_edges() + [(1, 3), (2, 4)]
-        edges += _cycle_with_stubs(tail, [1, 2])
-    return SimpleGraph(n, edges)
-
-
-def _build_f2_43(n: int) -> SimpleGraph:
-    # Targets: 0,1 of degree 4; everyone else 3.
-    if n == 6:
-        edges = _bowtie_edges() + [(1, 3), (1, 5), (2, 5), (4, 5)]
-    else:
-        tail = list(range(5, n))
-        edges = _bowtie_edges() + [(1, 3)]
-        edges += _cycle_with_stubs(tail, [1, 2, 4])
-    return SimpleGraph(n, edges)
-
-
-def _build_f3_4(n: int) -> SimpleGraph:
-    # Targets: 0 of degree 4; everyone else 3.
-    edges = _bowtie_edges()
-    if n == 7:
-        edges += [(1, 5), (2, 5), (5, 6), (3, 6), (4, 6)]
-    else:
-        edges += [(1, 3), (2, 4)]
-        if n >= 9:
-            edges += _cycle_with_stubs(list(range(5, n)), [])
-    return SimpleGraph(n, edges)
-
-
-def _build_f4_432(n: int, a: int) -> SimpleGraph:
-    # Targets: 0,1 of degree 4; a vertices of degree 3; rest degree 2.
-    if a == 2:
-        if n == 5:
-            edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)]
-        elif n == 6:
-            edges = _bowtie_edges() + [(1, 3), (1, 5), (2, 5)]
-        else:
-            # Wings 2 and 3 are the degree-3 vertices; the second degree-4
-            # vertex 1 rides the two-path as an interior stop.
-            edges = _bowtie_edges()
-            edges += _path_edges([2, 5, 1] + list(range(6, n)) + [3])
-        return SimpleGraph(n, edges)
-    # a >= 4: wings 1 (degree 4), 2, 3, 4 (degree 3); the remaining a - 3
-    # degree-3 vertices form a block on the path, decorated with wing 4's
-    # stub and chords.
-    block = list(range(5, 5 + a - 3))
-    twos = list(range(5 + a - 3, n))
-    edges = _bowtie_edges()
-    edges += _path_edges([2] + block + [1] + twos + [3])
-    q = len(block) - 1
-    if q == 0:
-        edges.append((4, block[0]))
-    elif q == 2:
-        edges.append((4, block[1]))
-        edges.append((block[0], block[2]))
-    else:
-        edges.append((4, block[-1]))
-        arc = block[:-1]
-        half = q // 2
-        edges.extend((arc[j], arc[j + half]) for j in range(half))
-    return SimpleGraph(n, edges)
-
-
-def _build_f7_432(n: int, a: int) -> SimpleGraph:
-    # Targets: 0 of degree 4; a vertices of degree 3; rest degree 2.
-    c = n - 1 - a
-    if a == 2:
-        if c == 2:
-            edges = _bowtie_edges(cross=True) + [(1, 2)]
-        else:
-            edges = _bowtie_edges() + _path_edges([1] + list(range(5, n)) + [2])
-        return SimpleGraph(n, edges)
-    if a == 4:
-        if c == 1:
-            edges = _bowtie_edges(cross=True) + [(3, 4), (1, 5), (2, 5)]
-        else:
-            twos = list(range(5, n))
-            edges = _bowtie_edges()
-            edges += _path_edges([1, twos[0], 2])
-            edges += _path_edges([3] + twos[1:] + [4])
-        return SimpleGraph(n, edges)
-    # a >= 6: split the a - 4 extra degree-3 vertices across two paths and
-    # pair them off with cross edges.
-    m = a - 4
-    h = m // 2
-    extra = list(range(5, 5 + m))
-    twos = list(range(5 + m, n))
-    edges = _bowtie_edges()
-    edges += _path_edges([1] + extra[:h] + twos + [2])
-    edges += _path_edges([3] + extra[h:] + [4])
-    edges += [(extra[j], extra[j + h]) for j in range(h)]
-    return SimpleGraph(n, edges)
-
-
-def _build_f11_4321(n: int, a: int, b: int) -> SimpleGraph:
-    # Targets: 0 of degree 4; a threes, b twos, c ones.
-    c = n - 1 - a - b
-    threes = list(range(1, 1 + a))
-    twos = list(range(1 + a, 1 + a + b))
-    leaves = list(range(1 + a + b, n))
-    if a == 1:
-        # Wings: the three, plus three of the twos.
-        tail_twos = twos[3:]
-        edges = _bowtie_edges() + _path_edges([1] + tail_twos + [leaves[0]])
-        edges += _matching_edges(leaves[1:])
-    elif a == 2:
-        tail_twos = twos[2:]
-        if not tail_twos:
-            edges = _bowtie_edges(cross=True) + [(1, 2)]
-        else:
-            edges = _bowtie_edges() + _path_edges([1] + tail_twos + [2])
-        edges += _matching_edges(leaves)
-    elif a == 3:
-        tail_twos = twos[1:]
-        if not tail_twos:
-            edges = _bowtie_edges(cross=True) + [(1, 2)]
-        else:
-            edges = _bowtie_edges() + _path_edges([1] + tail_twos + [2])
-        edges += [(3, leaves[0])]
-        edges += _matching_edges(leaves[1:])
-    elif a == 4:
-        edges = _bowtie_edges()
-        if b == 1:
-            edges += _path_edges([1, twos[0], 2])
-            edges += [(3, leaves[0]), (4, leaves[1])]
-            edges += _matching_edges(leaves[2:])
-        else:
-            edges += _path_edges([1, twos[0], 2])
-            edges += _path_edges([3] + twos[1:] + [4])
-            edges += _matching_edges(leaves)
-    else:
-        m = a - 4
-        h = m // 2
-        extra = threes[4:]
-        edges = _bowtie_edges()
-        edges += [(extra[j], extra[j + h]) for j in range(h)]
-        if m % 2 == 0:
-            edges += _path_edges([1] + extra[:h] + twos + [2])
-            edges += _path_edges([3] + extra[h:] + [4])
-            edges += _matching_edges(leaves)
-        else:
-            straggler = extra[-1]
-            edges += _path_edges([1] + extra[:h] + [straggler, 2])
-            edges += _path_edges([3] + extra[h : 2 * h] + twos + [4])
-            edges += [(straggler, leaves[0])]
-            edges += _matching_edges(leaves[1:])
-    return SimpleGraph(n, edges)
-
-
-def _build_f18_431(n: int, a: int) -> SimpleGraph:
-    # Targets: 0 of degree 4; a threes; the rest pendant ones.
-    m = a - 4
-    extra = list(range(5, 5 + m))
-    leaves = list(range(5 + m, n))
-    edges = _bowtie_edges()
-    if m == 0:
-        edges += [(1, 3), (2, 4)]
-        edges += _matching_edges(leaves)
-    elif m == 1:
-        edges += [(1, extra[0]), (2, extra[0]), (3, extra[0]), (4, leaves[0])]
-        edges += _matching_edges(leaves[1:])
-    elif m == 2:
-        edges += [(1, extra[0]), (2, extra[0]), (3, extra[0]), (4, extra[1])]
-        edges += [(extra[1], leaves[0]), (extra[1], leaves[1])]
-        edges += _matching_edges(leaves[2:])
-    elif m == 3:
-        edges += _path_edges(extra)
-        edges += [(1, extra[0]), (2, extra[0]), (3, extra[2]), (4, extra[2])]
-        edges += [(extra[1], leaves[0])]
-        edges += _matching_edges(leaves[1:])
-    else:
-        edges += _path_edges(extra)
-        edges += [(1, extra[0]), (2, extra[0]), (3, extra[-1]), (4, extra[-1])]
-        interior = extra[1:-1]
-        k = min(len(leaves), len(interior))
-        q = len(interior) - k
-        if q == 0:
-            fed = interior
-        elif q == 2:
-            fed = interior[:-3] + [interior[-2]]
-            edges.append((interior[-3], interior[-1]))
-        else:
-            fed = interior[:k]
-            arc = interior[k:]
-            half = q // 2
-            edges.extend((arc[j], arc[j + half]) for j in range(half))
-        edges += [(v, leaf) for v, leaf in zip(fed, leaves)]
-        edges += _matching_edges(leaves[len(fed) :])
-    return SimpleGraph(n, edges)
-
-
-def _build_c3_tail(n: int) -> SimpleGraph:
-    # Targets: 0 of degree n-2, 1 of degree n-3, a pendant at n-1, twos between.
-    edges = _bowtie_edges()
-    edges += [(0, j) for j in range(5, n - 1)]
-    edges += [(1, j) for j in range(5, n - 1)]
-    edges += [(1, n - 1)]
-    return SimpleGraph(n, edges)
-
-
-def _build_sq_42(n: int) -> SimpleGraph:
-    # Targets: 0 and 1 of degree 4; everyone else 2.  Vertex 1 doubles as a
-    # bowtie wing and as a stop on the long cycle.
-    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (2, 3), (1, 4)]
-    edges += _cycle_edges([1] + list(range(5, n)))
-    return SimpleGraph(n, edges)
-
-
-def _build_s_42(n: int) -> SimpleGraph:
-    edges = _bowtie_edges()
-    if n > 5:
-        edges += _cycle_edges(list(range(5, n)))
-    return SimpleGraph(n, edges)
-
-
-def _build_s_4221(n: int, a: int) -> SimpleGraph:
-    # Targets: 0 of degree 4; a twos; the rest pendant ones.
-    twos = list(range(5, 1 + a))
-    leaves = list(range(1 + a, n))
-    edges = _bowtie_edges()
-    if twos:
-        edges += _path_edges([leaves[0]] + twos + [leaves[1]])
-        edges += _matching_edges(leaves[2:])
-    else:
-        edges += _matching_edges(leaves)
-    return SimpleGraph(n, edges)
-
-
 def _validate_params(pattern: FamilyPattern) -> None:
     f, n, a, b = pattern.id, pattern.n, pattern.a, pattern.b
     ok = True
@@ -483,38 +200,17 @@ def _validate_params(pattern: FamilyPattern) -> None:
         raise BadParams(f"invalid parameters {pattern!r}")
 
 
-_BUILDERS = {
-    FamilyId.F1_433: lambda p: _build_f1_433(p.n),
-    FamilyId.F2_43: lambda p: _build_f2_43(p.n),
-    FamilyId.F3_4: lambda p: _build_f3_4(p.n),
-    FamilyId.F4_432: lambda p: _build_f4_432(p.n, p.a),
-    FamilyId.F7_432: lambda p: _build_f7_432(p.n, p.a),
-    FamilyId.F11_4321: lambda p: _build_f11_4321(p.n, p.a, p.b),
-    FamilyId.F18_431: lambda p: _build_f18_431(p.n, p.a),
-    FamilyId.C3_TAIL: lambda p: _build_c3_tail(p.n),
-    FamilyId.SQ_42: lambda p: _build_sq_42(p.n),
-    FamilyId.S_42: lambda p: _build_s_42(p.n),
-    FamilyId.S_4221: lambda p: _build_s_4221(p.n, p.a),
-}
-
-
 def construct_family(pattern: FamilyPattern) -> SimpleGraph:
-    """Build the canonical bowtie-containing realization of a family member.
+    """Realize a family member with a bowtie, through ``realize_with_bowtie``.
 
     Raises BadParams when the parameters fall outside the family's range
-    (which includes denoting a sequence the decision procedure rejects),
-    and InternalExhaustion if a built graph fails post-validation.
+    (which includes denoting a sequence the decision procedure rejects).
     """
     _validate_params(pattern)
-    expected = family_sequence(pattern)
-    if not check_potentially(expected).potentially:
-        raise BadParams(f"{pattern!r} denotes the rejected sequence {expected}")
-    graph = _BUILDERS[pattern.id](pattern)
-    if not _realizes_with_bowtie(graph, expected):
-        raise InternalExhaustion(
-            f"family construction for {pattern!r} failed validation"
-        )
-    return graph
+    try:
+        return realize_with_bowtie(family_sequence(pattern))
+    except NotPotentially as exc:
+        raise BadParams(f"{pattern!r} denotes a rejected sequence") from exc
 
 
 def _realizes_with_bowtie(graph: SimpleGraph, expected: DegreeSequence) -> bool:
@@ -542,13 +238,70 @@ def reattach(graph: SimpleGraph, trace: LayoffTrace) -> SimpleGraph:
     return attach_by_degrees(graph, trace.decremented_degrees)
 
 
-def _oracle_witness(seq: DegreeSequence) -> SimpleGraph:
-    for graph in enumerate_realizations(seq):
-        if contains_bowtie(graph) is not None:
-            return graph
-    raise InternalExhaustion(
-        f"accepted sequence {seq} has no bowtie realization within the oracle"
-    )
+def _fill(free: list[int], total: int) -> list[int]:
+    """Spread ``total`` over places with room ``free``, first places first."""
+    counts = []
+    for room in free:
+        counts.append(min(room, total))
+        total -= counts[-1]
+    return counts
+
+
+def _patterns(free: list[int], total: int) -> Iterator[tuple[int, ...]]:
+    """Every count vector c with 0 <= c[j] <= free[j] and sum total, in
+    decreasing lexicographic order (so ``_fill(free, total)`` comes first)."""
+    counts = _fill(free, total)
+    while True:
+        yield tuple(counts)
+        room = held = 0  # free places and counts to the right of j
+        for j in range(len(counts) - 1, -1, -1):
+            if counts[j] and room > held:
+                break
+            room += free[j]
+            held += counts[j]
+        else:
+            return
+        counts[j] -= 1
+        counts[j + 1 :] = _fill(free[j + 1 :], held + 1)
+
+
+def _deletions(seq: DegreeSequence) -> Iterator[LayoffTrace]:
+    """Every one-vertex deletion of ``seq``, counted by degree value.
+
+    A deletion removes the last vertex of one degree class and decrements
+    the first positions of each class, so equal terms are never told apart.
+    From the smallest class up, each first decrements the largest other
+    terms (the first candidate is ``lay_off(seq)``), then the smallest.
+    All other decrement patterns follow, class by class.
+    """
+    runs = [(value, len(list(group))) for value, group in groupby(seq.terms)]
+    starts = list(accumulate((size for _, size in runs), initial=0))
+
+    def trace(k: int, free: list[int], counts: tuple[int, ...]) -> LayoffTrace:
+        positions = tuple(p for s, c in zip(starts, counts) for p in range(s, s + c))
+        rest: list[int] = []  # nonincreasing, as value - 1 >= the next run's value
+        for (value, _), room, c in zip(runs, free, counts):
+            rest += [value] * (room - c)
+            if value > 1:
+                rest += [value - 1] * c
+        child = DegreeSequence._from_sorted(tuple(rest))
+        return LayoffTrace(seq, runs[k][0], positions, child)
+
+    later = []
+    for k in reversed(range(len(runs))):
+        free = [size for _, size in runs]
+        free[k] -= 1
+        value = runs[k][0]
+        largest = tuple(_fill(free, value))
+        yield trace(k, free, largest)
+        smallest = tuple(_fill(free[::-1], value)[::-1])
+        if smallest != largest:
+            yield trace(k, free, smallest)
+        later.append((k, free, (largest, smallest)))
+    for k, free, first in later:
+        for counts in _patterns(free, runs[k][0]):
+            if counts not in first:
+                yield trace(k, free, counts)
 
 
 def realize_with_bowtie(seq: DegreeSequence) -> SimpleGraph:
@@ -563,27 +316,26 @@ def realize_with_bowtie(seq: DegreeSequence) -> SimpleGraph:
         detail = report.failure.value if report.failure is not None else "rejected"
         raise NotPotentially(f"{seq} is not potentially bowtie-graphic ({detail})")
 
-    pending: list[LayoffTrace] = []
+    removed: list[tuple[int, ...]] = []  # neighbour degrees of each deleted vertex
     current = seq
-    graph: SimpleGraph | None = None
     while len(current) > ENUMERATION_LIMIT:
-        trace = lay_off(current)
-        if check_potentially(trace.child).potentially:
-            pending.append(trace)
-            current = trace.child
-            continue
-        pattern = match_family(current)
-        if pattern is None:
-            raise InternalExhaustion(
-                f"accepted sequence {current} has a rejected lay-off child "
-                "and matches no family"
-            )
-        graph = construct_family(pattern)
-        break
-    if graph is None:
-        graph = _oracle_witness(current)
-    for trace in reversed(pending):
-        graph = reattach(graph, trace)
+        for trace in _deletions(current):
+            child = trace.child
+            if _erdos_gallai_ok(child.terms) and _rule_report(child).potentially:
+                break
+        else:
+            raise InternalExhaustion(f"{current} is accepted but has no accepted deletion")
+        removed.append(trace.decremented_degrees)
+        current = child
+    adjacency = _first_bowtie_adjacency(current.terms)
+    if adjacency is None:
+        raise InternalExhaustion(f"accepted sequence {current} has no bowtie realization")
+    m = len(current)
+    degrees = list(current.terms)
+    edges = [(u, v) for u in range(m) for v in range(u + 1, m) if adjacency[u] >> v & 1]
+    for neighbour_degrees in reversed(removed):
+        _attach(degrees, edges, neighbour_degrees)
+    graph = SimpleGraph(len(degrees), edges)
     if not _realizes_with_bowtie(graph, seq):
         raise InternalExhaustion(f"realization of {seq} failed final validation")
     return graph

@@ -51,6 +51,13 @@ class DegreeSequence:
                 raise ValueError(f"degree terms must be positive, got {t}")
         self._terms = items
 
+    @classmethod
+    def _from_sorted(cls, terms: tuple[int, ...]) -> DegreeSequence:
+        """Wrap a tuple nonincreasing and positive by construction, unchecked."""
+        seq = cls.__new__(cls)
+        seq._terms = terms
+        return seq
+
     @property
     def terms(self) -> tuple[int, ...]:
         return self._terms
@@ -83,10 +90,10 @@ class DegreeSequence:
 class LayoffTrace:
     """Record of one lay-off step, sufficient to invert it.
 
-    ``decremented_positions`` indexes into the parent sequence with its last
-    term removed; the lay-off always decrements the first ``removed_degree``
-    positions of that prefix.  The parent itself is kept so the decremented
-    degree values can be recovered when reattaching a vertex.
+    ``decremented_positions`` index into the parent, never at the removed
+    vertex (``lay_off`` removes the last term and decrements the first
+    ``removed_degree`` positions).  The parent itself is kept so the
+    decremented degree values can be recovered when reattaching a vertex.
     """
 
     parent: DegreeSequence

@@ -82,13 +82,13 @@ def enumerate_graphic_sequences(n: int) -> Iterator[DegreeSequence]:
     are the nonincreasing n-tuples over n-1..1, which
     ``combinations_with_replacement`` yields in exactly that order; each is
     proved graphic by the Erdős–Gallai test (odd sums fail it at once)
-    before a DegreeSequence is built for it.
+    before a DegreeSequence is built for it, without sorting it again.
     """
     if n < 1:
         return
     for terms in combinations_with_replacement(range(n - 1, 0, -1), n):
         if _erdos_gallai_ok(terms):
-            yield DegreeSequence(terms)
+            yield DegreeSequence._from_sorted(terms)
 
 
 def _check_range(n: int) -> None:

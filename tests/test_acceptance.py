@@ -14,15 +14,15 @@ import time
 import pytest
 
 import bowtieseq.cli as cli
+import bowtieseq.realizer as realizer
 from _brute import brute_contains_bowtie, nonincreasing_positive_sequences
+from realize_sweep import certificate_problem, realize_every_accepted_sequence
 from bowtieseq import (
     DegreeSequence,
     Failure,
     FamilyId,
     FamilyPattern,
     check_potentially,
-    construct_family,
-    contains_bowtie,
     family_sequence,
     is_graphic,
     lay_off,
@@ -74,17 +74,6 @@ def all_family_patterns(max_n: int) -> list[FamilyPattern]:
             if c >= 2 and c % 2 == 0:
                 patterns.append(FamilyPattern(FamilyId.S_4221, n, a=a))
     return patterns
-
-
-def assert_witness_certificate(graph, seq) -> None:
-    """Structural check of a realization: degrees and an explicit bowtie."""
-    assert tuple(sorted(graph.degrees(), reverse=True)) == seq.terms
-    witness = contains_bowtie(graph)
-    assert witness is not None
-    members = [witness.center, *witness.wing1, *witness.wing2]
-    assert len(set(members)) == 5
-    for u, v in witness.edges():
-        assert graph.has_edge(u, v)
 
 
 def test_decision_rules_match_the_exhaustive_oracle():
@@ -145,7 +134,7 @@ def test_extremal_witness_families_are_rejected_for_the_stated_reasons():
     )
 
 
-def test_realizer_is_sound_everywhere_it_can_be_checked():
+def test_realizer_is_sound_everywhere_it_can_be_checked(monkeypatch):
     started = time.monotonic()
     # exhaustive half: every accepted sequence on 5..8 vertices, with the
     # bowtie confirmed by an independent brute-force subgraph scan
@@ -159,24 +148,38 @@ def test_realizer_is_sound_everywhere_it_can_be_checked():
             assert brute_contains_bowtie(graph), seq
             realized += 1
 
-    # sweep half: every family member up to 30 vertices, built both through
-    # the general realizer and through the family constructor directly
+    # sweep half: every family member up to 30 vertices, through the general
+    # realizer with the family functions made to fail, and through
+    # construct_family, which must give the same graph
+    construct_family = realizer.construct_family
+
+    def no_family_code(*args):
+        raise AssertionError("realize_with_bowtie called family code")
+
+    monkeypatch.setattr(realizer, "match_family", no_family_code)
+    monkeypatch.setattr(realizer, "construct_family", no_family_code)
     patterns = all_family_patterns(30)
     assert len(patterns) == 2594
     for pattern in patterns:
         seq = family_sequence(pattern)
-        direct = construct_family(pattern)
-        assert_witness_certificate(direct, seq)
         via_realizer = realize_with_bowtie(seq)
-        assert_witness_certificate(via_realizer, seq)
-        if pattern.n >= 11:
-            # large members route through the family table at the top level
-            assert via_realizer == direct, pattern
+        assert certificate_problem(via_realizer, seq) is None, pattern
+        assert construct_family(pattern) == via_realizer, pattern
     elapsed = time.monotonic() - started
     print(
         f"PASS: realizer produced a valid bowtie realization for all "
         f"{realized} accepted sequences of length 5..8 and for all "
         f"{len(patterns)} family members up to 30 vertices ({elapsed:.1f}s)"
+    )
+
+
+def test_realizer_builds_every_accepted_sequence_of_length_11():
+    started = time.monotonic()
+    count = realize_every_accepted_sequence(11)
+    assert count == 43_197
+    print(
+        f"PASS: realizer produced a valid bowtie realization for all {count} "
+        f"accepted sequences of length 11 ({time.monotonic() - started:.1f}s)"
     )
 
 

@@ -1,4 +1,4 @@
-"""Tests for the family constructions and the general realizer."""
+"""Tests for the deletion realizer, its inverse step and the family vocabulary."""
 
 from __future__ import annotations
 
@@ -20,13 +20,14 @@ from bowtieseq import (
     degree_sequence,
     enumerate_realizations,
     family_sequence,
-    havel_hakimi_realize,
     lay_off,
     match_family,
     parse_sequence,
     realize_with_bowtie,
     reattach,
 )
+from bowtieseq.graphs import _erdos_gallai_ok, _realizations
+from bowtieseq.realizer import _deletions
 from bowtieseq.verify import enumerate_graphic_sequences
 
 
@@ -162,13 +163,34 @@ def test_construct_family_rejects_out_of_range_parameters():
 
 
 def test_failed_construction_raises_the_alarm(monkeypatch):
-    # force a builder to return a wrong graph: post-validation must notice
-    wrong = SimpleGraph(8, [(0, 1)])
-    monkeypatch.setitem(
-        realizer_module._BUILDERS, FamilyId.S_42, lambda p: wrong
+    # force a wrong base-case graph (one edge): the final validation must
+    # notice, also after the deleted vertices are added back
+    monkeypatch.setattr(
+        realizer_module,
+        "_first_bowtie_adjacency",
+        lambda terms: [0b10] + [0] * (len(terms) - 1),
     )
-    with pytest.raises(InternalExhaustion):
+    with pytest.raises(InternalExhaustion, match="final validation"):
         construct_family(pat(FamilyId.S_42, 8))
+    with pytest.raises(InternalExhaustion, match="final validation"):
+        realize_with_bowtie(parse_sequence("4,2^10"))
+
+
+def test_an_accepted_sequence_with_no_way_down_raises_the_alarm(monkeypatch):
+    seq = parse_sequence("5,3,2^9")
+    monkeypatch.setattr(realizer_module, "_first_bowtie_adjacency", lambda terms: None)
+    with pytest.raises(InternalExhaustion, match="no bowtie realization"):
+        realize_with_bowtie(seq)
+    # every deletion child rejected, by the rules or as not graphic: the
+    # full search runs out
+    with monkeypatch.context() as m:
+        m.setattr(realizer_module, "_erdos_gallai_ok", lambda terms: False)
+        with pytest.raises(InternalExhaustion, match="no accepted deletion"):
+            realize_with_bowtie(seq)
+    rejected = check_potentially(parse_sequence("3^6"))
+    monkeypatch.setattr(realizer_module, "_rule_report", lambda child: rejected)
+    with pytest.raises(InternalExhaustion, match="no accepted deletion"):
+        realize_with_bowtie(seq)
 
 
 # ------------------------------------------------------------------- reattach
@@ -184,7 +206,8 @@ def test_reattach_inverts_a_lay_off_step():
 
 def test_reattach_restores_a_bowtie_parent():
     trace = lay_off(parse_sequence("5,3,2^5"))
-    child_graph = havel_hakimi_realize(parse_sequence("4,2^5"))
+    assert trace.child == parse_sequence("4,2^5")
+    child_graph = SimpleGraph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5), (3, 4)])
     parent_graph = reattach(child_graph, trace)
     assert degree_sequence(parent_graph) == parse_sequence("5,3,2^5")
 
@@ -218,11 +241,17 @@ def test_realize_rejects_non_members():
 
 
 def test_realize_small_sequences_use_the_first_oracle_witness():
-    seq = parse_sequence("4,2^4")
-    expected = next(
-        g for g in enumerate_realizations(seq) if contains_bowtie(g) is not None
-    )
-    assert realize_with_bowtie(seq) == expected
+    realized = 0
+    for n in range(5, 9):
+        for seq in enumerate_graphic_sequences(n):
+            if not check_potentially(seq).potentially:
+                continue
+            expected = next(
+                g for g in enumerate_realizations(seq) if contains_bowtie(g) is not None
+            )
+            assert realize_with_bowtie(seq) == expected, seq
+            realized += 1
+    assert realized == 6 + 41 + 199 + 808
 
 
 def test_realize_every_accepted_sequence_up_to_six_vertices():
@@ -238,14 +267,14 @@ def test_realize_every_accepted_sequence_up_to_six_vertices():
     assert realized == 6 + 41  # accepted counts at five and six vertices
 
 
-def test_realize_routes_rejected_children_to_a_family():
-    # the lay-off child of (4, 2^10) loses its degree-4 vertex, so the
-    # construction must come from the matching family, unchanged
-    seq = parse_sequence("4,2^10")
-    assert realize_with_bowtie(seq) == construct_family(pat(FamilyId.S_42, 11))
-
-    tail = family_sequence(pat(FamilyId.C3_TAIL, 60))
-    assert realize_with_bowtie(tail) == construct_family(pat(FamilyId.C3_TAIL, 60))
+def test_realize_steps_past_a_rejected_lay_off_child():
+    # the lay-off child of (4, 2^10) loses its degree-4 vertex, and that of
+    # the tail shape at n = 60 is rejected too: another deletion must serve
+    for seq in (parse_sequence("4,2^10"), family_sequence(pat(FamilyId.C3_TAIL, 60))):
+        assert not check_potentially(lay_off(seq).child).potentially
+        graph = realize_with_bowtie(seq)
+        assert degree_sequence(graph) == seq
+        assert contains_bowtie(graph) is not None
 
 
 def test_realize_unwinds_multiple_lay_off_levels():
@@ -267,3 +296,51 @@ def test_realize_handles_large_members_of_every_family():
         graph = realize_with_bowtie(seq)
         assert degree_sequence(graph) == seq
         assert contains_bowtie(graph) is not None
+
+
+# ------------------------------------------------------------------ deletions
+
+
+def test_deletions_start_with_the_lay_off_and_never_touch_the_removed_vertex():
+    for text in ("4,2^10", "5,3,2^9", "6,4,3^3,2^5,1^2", "7,5,2^32", "3^12"):
+        seq = parse_sequence(text)
+        traces = list(_deletions(seq))
+        assert traces[0] == lay_off(seq)
+        children = set()
+        for trace in traces:
+            positions = trace.decremented_positions
+            assert trace.parent == seq
+            assert len(positions) == trace.removed_degree
+            assert list(positions) == sorted(set(positions))
+            # the removed vertex is the last of its class, never decremented
+            removed = max(p for p, t in enumerate(seq.terms) if t == trace.removed_degree)
+            assert removed not in positions and positions[-1] < len(seq)
+            rest = [t - (p in positions) for p, t in enumerate(seq.terms) if p != removed]
+            assert trace.child == DegreeSequence(t for t in rest if t > 0)
+            children.add((trace.removed_degree, trace.child))
+        assert len(children) == len(traces)  # no pattern comes twice
+
+
+def test_deletions_reach_every_child_of_every_realization():
+    # Brute force: delete each vertex of each labelled realization and
+    # record the degree sequence left.  The graphic children of the
+    # deletion order must be exactly these, so its full search is complete.
+    checked = 0
+    for n in range(6, 9):
+        for seq in enumerate_graphic_sequences(n):
+            if not check_potentially(seq).potentially:
+                continue
+            terms = seq.terms
+            deletions = set()  # (vertex, neighbour bitmask) over all realizations
+            for adj in _realizations(terms):
+                deletions.update(enumerate(adj))
+            brute = set()
+            for v, around in deletions:
+                rest = [terms[u] - (around >> u & 1) for u in range(n) if u != v]
+                brute.add(DegreeSequence(d for d in rest if d > 0))
+            generated = {
+                trace.child for trace in _deletions(seq) if _erdos_gallai_ok(trace.child.terms)
+            }
+            assert generated == brute, seq
+            checked += 1
+    assert checked == 41 + 199 + 808
