@@ -363,18 +363,18 @@ def oracle_has_bowtie_realization(seq: DegreeSequence) -> bool:
     return _first_bowtie_adjacency(terms) is not None
 
 
+def _witness_header(witness: BowtieWitness) -> str:
+    """The witness as one comment text, shared by both output formats."""
+    (a, b), (d, e) = witness.wing1, witness.wing2
+    return f"bowtie center {witness.center} wings {a},{b} {d},{e}"
+
+
 def edge_list_text(graph: SimpleGraph, witness: BowtieWitness | None = None) -> str:
     """Edge list wire format: one "u v" line per edge, 0-based, sorted.
 
     A witness, when given, is recorded as a leading '#' comment line.
     """
-    lines: list[str] = []
-    if witness is not None:
-        lines.append(
-            f"# bowtie center {witness.center}"
-            f" wings {witness.wing1[0]},{witness.wing1[1]}"
-            f" {witness.wing2[0]},{witness.wing2[1]}"
-        )
+    lines = [] if witness is None else [f"# {_witness_header(witness)}"]
     lines.extend(f"{u} {v}" for u, v in graph.sorted_edges())
     return "\n".join(lines) + "\n"
 
@@ -383,11 +383,7 @@ def dot_text(graph: SimpleGraph, witness: BowtieWitness | None = None) -> str:
     """Undirected DOT rendering with plain integer node ids."""
     lines = ["graph {"]
     if witness is not None:
-        lines.append(
-            f"  // bowtie center {witness.center}"
-            f" wings {witness.wing1[0]},{witness.wing1[1]}"
-            f" {witness.wing2[0]},{witness.wing2[1]}"
-        )
+        lines.append(f"  // {_witness_header(witness)}")
     touched = [False] * graph.vertex_count
     for u, v in graph.sorted_edges():
         touched[u] = touched[v] = True

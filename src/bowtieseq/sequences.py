@@ -118,16 +118,36 @@ def _quote(text: str) -> str:
     return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
+def _positive(part: str, name: str, text: str) -> int:
+    """Read a degree or a run count: an optional '-' and ASCII digits, >= 1.
+
+    Stricter than int(), which also takes '+', '_' and non-ASCII digits.
+    Whitespace around the part is tolerated.
+    """
+    unsigned = part.strip().removeprefix("-")
+    try:
+        if not (unsigned.isascii() and unsigned.isdigit()):
+            raise ValueError(part)
+        value = int(part)
+    except ValueError:  # also past int()'s limit on the number of digits
+        raise ParseError(f"bad {name} {_quote(part)} in {_quote(text)}") from None
+    if value < 1:
+        raise ParseError(
+            f"{name}s must be positive, got {_quote(part)} in {_quote(text)}"
+        )
+    return value
+
+
 def parse_sequence(text: str) -> DegreeSequence:
     """Parse run-length sequence text such as ``"4^2,2^3"`` or ``"4,3,2"``.
 
-    Each comma-separated item is ``d`` or ``d^count`` with d >= 1 and
-    count >= 1.  Whitespace around items is tolerated.  Raises ParseError
-    for anything else, including empty input and zero or negative degrees,
-    and for text with more than MAX_PARSED_TERMS terms in all (checked
-    before the terms are built, so huge run counts fail fast).  Error
-    messages quote the offending item and the text, each cut after
-    QUOTE_LIMIT characters.
+    Each comma-separated item is ``d`` or ``d^count`` in ASCII digits, with
+    d >= 1 and count >= 1.  Whitespace around items and around the caret is
+    tolerated.  Raises ParseError for anything else, including empty input
+    and zero or negative degrees, and for text with more than
+    MAX_PARSED_TERMS terms in all (checked before the terms are built, so
+    huge run counts fail fast).  Error messages quote the offending item
+    and the text, each cut after QUOTE_LIMIT characters.
     """
     if not text or not text.strip():
         raise ParseError("empty sequence text")
@@ -136,31 +156,9 @@ def parse_sequence(text: str) -> DegreeSequence:
         item = raw.strip()
         if not item:
             raise ParseError(f"empty item in sequence text {_quote(text)}")
-        degree_part, _, count_part = item.partition("^")
-        try:
-            degree = int(degree_part)
-        except ValueError:
-            raise ParseError(
-                f"bad degree {_quote(degree_part)} in {_quote(text)}"
-            ) from None
-        if degree < 1:
-            raise ParseError(
-                f"degrees must be positive, got {_quote(degree_part)} in {_quote(text)}"
-            )
-        if count_part or "^" in item:
-            try:
-                count = int(count_part)
-            except ValueError:
-                raise ParseError(
-                    f"bad run count {_quote(count_part)} in {_quote(text)}"
-                ) from None
-            if count < 1:
-                raise ParseError(
-                    f"run counts must be positive, got {_quote(count_part)}"
-                    f" in {_quote(text)}"
-                )
-        else:
-            count = 1
+        degree_part, caret, count_part = item.partition("^")
+        degree = _positive(degree_part, "degree", text)
+        count = _positive(count_part, "run count", text) if caret else 1
         if len(terms) + count > MAX_PARSED_TERMS:
             raise ParseError(f"more than {MAX_PARSED_TERMS} terms")
         terms.extend([degree] * count)

@@ -20,18 +20,16 @@ from realize_sweep import certificate_problem, realize_every_accepted_sequence
 from bowtieseq import (
     DegreeSequence,
     Failure,
-    FamilyId,
-    FamilyPattern,
     check_potentially,
-    family_sequence,
     is_graphic,
-    lay_off,
     parse_sequence,
     realize_with_bowtie,
     sigma,
     sigma_closed_form,
-    sigma_witness,
 )
+from bowtieseq.characterize import sigma_witness
+from bowtieseq.realizer import FamilyId, FamilyPattern, family_sequence
+from bowtieseq.sequences import lay_off
 from bowtieseq.verify import (
     enumerate_graphic_sequences,
     sigma_empirical,

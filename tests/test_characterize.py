@@ -10,14 +10,16 @@ from bowtieseq import (
     DegreeSequence,
     Failure,
     check_potentially,
-    matches_cond3,
-    matches_cond4,
     parse_sequence,
     sigma,
     sigma_closed_form,
+)
+from bowtieseq.characterize import (
+    _rule_report,
+    matches_cond3,
+    matches_cond4,
     sigma_witness,
 )
-from bowtieseq.characterize import _rule_report
 
 
 def report(text: str) -> CheckReport:

@@ -261,7 +261,7 @@ def test_alarm_exception_exits_3(capsys, monkeypatch):
 
 
 def test_parse_errors_exit_2(capsys):
-    for bad in ("4,,", "0", "4^", "x"):
+    for bad in ("4,,", "0", "4^", "x", "4_0,2"):
         code, out, err = run_cli(capsys, "check", bad)
         assert code == 2, bad
         assert out == ""

@@ -18,25 +18,27 @@ from _brute import (
     nonincreasing_positive_sequences,
 )
 from bowtieseq import (
-    ENUMERATION_LIMIT,
     BowtieWitness,
     DegreeSequence,
-    NotGraphic,
     SimpleGraph,
-    TooLarge,
-    TraceMismatch,
     ZeroDegreeVertex,
-    attach_by_degrees,
     contains_bowtie,
     degree_sequence,
     dot_text,
     edge_list_text,
-    enumerate_realizations,
     is_graphic,
-    oracle_has_bowtie_realization,
     parse_sequence,
 )
-from bowtieseq.graphs import _erdos_gallai_ok
+from bowtieseq.graphs import (
+    ENUMERATION_LIMIT,
+    NotGraphic,
+    TooLarge,
+    TraceMismatch,
+    _erdos_gallai_ok,
+    attach_by_degrees,
+    enumerate_realizations,
+    oracle_has_bowtie_realization,
+)
 
 BOWTIE = SimpleGraph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)])
 

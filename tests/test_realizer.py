@@ -6,28 +6,33 @@ import pytest
 
 import bowtieseq.realizer as realizer_module
 from bowtieseq import (
-    BadParams,
     DegreeSequence,
-    FamilyId,
-    FamilyPattern,
     InternalExhaustion,
     NotPotentially,
     SimpleGraph,
-    TraceMismatch,
     check_potentially,
-    construct_family,
     contains_bowtie,
     degree_sequence,
-    enumerate_realizations,
-    family_sequence,
-    lay_off,
-    match_family,
     parse_sequence,
     realize_with_bowtie,
+)
+from bowtieseq.graphs import (
+    TraceMismatch,
+    _erdos_gallai_ok,
+    _realizations,
+    enumerate_realizations,
+)
+from bowtieseq.realizer import (
+    BadParams,
+    FamilyId,
+    FamilyPattern,
+    _deletions,
+    construct_family,
+    family_sequence,
+    match_family,
     reattach,
 )
-from bowtieseq.graphs import _erdos_gallai_ok, _realizations
-from bowtieseq.realizer import _deletions
+from bowtieseq.sequences import lay_off
 from bowtieseq.verify import enumerate_graphic_sequences
 
 

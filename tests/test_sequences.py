@@ -14,15 +14,18 @@ from _brute import (
 )
 from bowtieseq import (
     DegreeSequence,
-    LayoffImpossible,
     ParseError,
     format_sequence,
     is_graphic,
-    lay_off,
     parse_sequence,
     sigma,
 )
-from bowtieseq.sequences import MAX_PARSED_TERMS, QUOTE_LIMIT
+from bowtieseq.sequences import (
+    MAX_PARSED_TERMS,
+    QUOTE_LIMIT,
+    LayoffImpossible,
+    lay_off,
+)
 
 
 def seq(*terms: int) -> DegreeSequence:
@@ -93,7 +96,8 @@ def test_parse_tolerates_whitespace():
 
 def test_parse_rejects_malformed_text():
     for bad in ("", "   ", ",", "4,,2", "4,", ",4", "0", "-1", "4^0", "4^-1",
-                "4^", "^3", "x", "4^x", "3.5", "4 3"):
+                "4^", "^3", "x", "4^x", "3.5", "4 3",
+                "4_0,2", "4,2^0_4", "+4,2^4", "\u0664,2^4"):
         with pytest.raises(ParseError):
             parse_sequence(bad)
 
