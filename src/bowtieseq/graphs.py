@@ -52,6 +52,8 @@ class SimpleGraph:
             raise ValueError(f"vertex_count must be >= 0, got {vertex_count}")
         normalized = set()
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:  # bool is an int subclass
+                raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):

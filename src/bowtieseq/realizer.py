@@ -3,9 +3,11 @@
 ``realize_with_bowtie`` builds a realization by vertex deletions alone.
 While the sequence is longer than ENUMERATION_LIMIT, it deletes the first
 candidate of ``_deletions`` whose child is accepted (one exists: a bowtie
-realization has a vertex outside its bowtie).  Each child is proved graphic
-by the Erdős–Gallai test first; the lay-off of any vertex onto the largest
-other terms always passes (Kleitman & Wang 1973).  The short sequence left
+realization has a vertex outside its bowtie).  The candidates take the
+degree classes from the smallest value up and, within a class, every
+decrement pattern once, starting with the lay-off onto the largest other
+terms.  Each child is proved graphic by the Erdős–Gallai test first; a
+lay-off always passes (Kleitman & Wang 1973).  The short sequence left
 takes the first bowtie realization of the exhaustive walk, and the deleted
 vertices are added back, last first, joined to vertices of the degrees
 their deletions decremented; adding edges never loses a bowtie.
@@ -22,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, groupby
+from itertools import groupby
 
 from .characterize import _rule_report, check_potentially
 from .graphs import (
@@ -265,43 +267,28 @@ def _patterns(free: list[int], total: int) -> Iterator[tuple[int, ...]]:
         counts[j + 1 :] = _fill(free[j + 1 :], held + 1)
 
 
-def _deletions(seq: DegreeSequence) -> Iterator[LayoffTrace]:
-    """Every one-vertex deletion of ``seq``, counted by degree value.
+def _deletions(seq: DegreeSequence) -> Iterator[tuple[DegreeSequence, tuple[int, ...]]]:
+    """Every one-vertex deletion of ``seq``, as (child, neighbour degrees).
 
-    A deletion removes the last vertex of one degree class and decrements
-    the first positions of each class, so equal terms are never told apart.
-    From the smallest class up, each first decrements the largest other
-    terms (the first candidate is ``lay_off(seq)``), then the smallest.
-    All other decrement patterns follow, class by class.
+    A deletion removes one vertex of a degree class and decrements the
+    first positions of each class, so equal terms are never told apart;
+    the neighbour degrees are the decremented values (0 for a vertex the
+    child drops).  The classes go from the smallest value up, each through
+    ``_patterns`` in its order, so the first candidate is ``lay_off(seq)``.
     """
     runs = [(value, len(list(group))) for value, group in groupby(seq.terms)]
-    starts = list(accumulate((size for _, size in runs), initial=0))
-
-    def trace(k: int, free: list[int], counts: tuple[int, ...]) -> LayoffTrace:
-        positions = tuple(p for s, c in zip(starts, counts) for p in range(s, s + c))
-        rest: list[int] = []  # nonincreasing, as value - 1 >= the next run's value
-        for (value, _), room, c in zip(runs, free, counts):
-            rest += [value] * (room - c)
-            if value > 1:
-                rest += [value - 1] * c
-        child = DegreeSequence._from_sorted(tuple(rest))
-        return LayoffTrace(seq, runs[k][0], positions, child)
-
-    later = []
     for k in reversed(range(len(runs))):
         free = [size for _, size in runs]
         free[k] -= 1
-        value = runs[k][0]
-        largest = tuple(_fill(free, value))
-        yield trace(k, free, largest)
-        smallest = tuple(_fill(free[::-1], value)[::-1])
-        if smallest != largest:
-            yield trace(k, free, smallest)
-        later.append((k, free, (largest, smallest)))
-    for k, free, first in later:
         for counts in _patterns(free, runs[k][0]):
-            if counts not in first:
-                yield trace(k, free, counts)
+            rest: list[int] = []  # nonincreasing, as value - 1 >= the next run's value
+            neighbours: list[int] = []
+            for (value, _), room, c in zip(runs, free, counts):
+                rest += [value] * (room - c)
+                if value > 1:
+                    rest += [value - 1] * c
+                neighbours += [value - 1] * c
+            yield DegreeSequence._from_sorted(tuple(rest)), tuple(neighbours)
 
 
 def realize_with_bowtie(seq: DegreeSequence) -> SimpleGraph:
@@ -319,13 +306,12 @@ def realize_with_bowtie(seq: DegreeSequence) -> SimpleGraph:
     removed: list[tuple[int, ...]] = []  # neighbour degrees of each deleted vertex
     current = seq
     while len(current) > ENUMERATION_LIMIT:
-        for trace in _deletions(current):
-            child = trace.child
+        for child, neighbour_degrees in _deletions(current):
             if _erdos_gallai_ok(child.terms) and _rule_report(child).potentially:
                 break
         else:
             raise InternalExhaustion(f"{current} is accepted but has no accepted deletion")
-        removed.append(trace.decremented_degrees)
+        removed.append(neighbour_degrees)
         current = child
     adjacency = _first_bowtie_adjacency(current.terms)
     if adjacency is None:

@@ -43,13 +43,14 @@ class DegreeSequence:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[int] = ()) -> None:
-        items = tuple(sorted(terms, reverse=True))
-        for t in items:
+        items = list(terms)
+        for t in items:  # before sorting, which would raise TypeError on mixed types
             if not isinstance(t, int) or isinstance(t, bool):
                 raise ValueError(f"degree terms must be integers, got {t!r}")
             if t < 1:
                 raise ValueError(f"degree terms must be positive, got {t}")
-        self._terms = items
+        items.sort(reverse=True)
+        self._terms = tuple(items)
 
     @classmethod
     def _from_sorted(cls, terms: tuple[int, ...]) -> DegreeSequence:
@@ -90,9 +91,9 @@ class DegreeSequence:
 class LayoffTrace:
     """Record of one lay-off step, sufficient to invert it.
 
-    ``decremented_positions`` index into the parent, never at the removed
-    vertex (``lay_off`` removes the last term and decrements the first
-    ``removed_degree`` positions).  The parent itself is kept so the
+    ``lay_off`` builds it: it removes the last term and decrements the
+    first ``removed_degree`` positions, which ``decremented_positions``
+    lists as indices into the parent.  The parent itself is kept so the
     decremented degree values can be recovered when reattaching a vertex.
     """
 

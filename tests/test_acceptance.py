@@ -20,6 +20,7 @@ from realize_sweep import certificate_problem, realize_every_accepted_sequence
 from bowtieseq import (
     DegreeSequence,
     Failure,
+    SimpleGraph,
     check_potentially,
     is_graphic,
     parse_sequence,
@@ -178,6 +179,42 @@ def test_realizer_builds_every_accepted_sequence_of_length_11():
     print(
         f"PASS: realizer produced a valid bowtie realization for all {count} "
         f"accepted sequences of length 11 ({time.monotonic() - started:.1f}s)"
+    )
+
+
+def planted_bowtie_graph(rng: random.Random, n: int) -> SimpleGraph:
+    """A random connected graph on n >= 5 vertices with a bowtie on 0..4.
+
+    Each later vertex joins a random earlier one, so none is isolated; the
+    extra edges (up to 2n) have one end skewed towards low labels, so a
+    few vertices become hubs and the degrees spread over many values.
+    """
+    edges = {(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)}
+    edges.update((rng.randrange(v), v) for v in range(5, n))
+    for _ in range(rng.randrange(2 * n)):
+        u, v = int(n * rng.random() ** 2), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return SimpleGraph(n, edges)
+
+
+def test_realizer_builds_random_planted_bowtie_sequences():
+    # deletion chains of up to 290 steps, at sizes the exhaustive sweeps
+    # (n <= 12) do not reach
+    started = time.monotonic()
+    rng = random.Random(11300)
+    sizes = []
+    for _ in range(300):
+        n = rng.randint(11, 300)
+        seq = DegreeSequence(planted_bowtie_graph(rng, n).degrees())
+        problem = certificate_problem(realize_with_bowtie(seq), seq)
+        assert problem is None, f"realization of {seq}: {problem}"
+        sizes.append(n)
+    assert min(sizes) < 20 and max(sizes) > 290
+    print(
+        f"PASS: realizer produced a valid bowtie realization for 300 degree "
+        f"sequences of random graphs with a planted bowtie, n = {min(sizes)}.."
+        f"{max(sizes)} ({time.monotonic() - started:.1f}s)"
     )
 
 

@@ -73,6 +73,10 @@ def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError):
         SimpleGraph(3, [(0, 3)])
     with pytest.raises(ValueError):
+        SimpleGraph(3, [(0, 1.5)])
+    with pytest.raises(ValueError):
+        SimpleGraph(3, [(True, 2)])
+    with pytest.raises(ValueError):
         SimpleGraph(-1)
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import product
+
 import pytest
 
 import bowtieseq.realizer as realizer_module
@@ -309,21 +312,49 @@ def test_realize_handles_large_members_of_every_family():
 def test_deletions_start_with_the_lay_off_and_never_touch_the_removed_vertex():
     for text in ("4,2^10", "5,3,2^9", "6,4,3^3,2^5,1^2", "7,5,2^32", "3^12"):
         seq = parse_sequence(text)
-        traces = list(_deletions(seq))
-        assert traces[0] == lay_off(seq)
-        children = set()
-        for trace in traces:
-            positions = trace.decremented_positions
-            assert trace.parent == seq
-            assert len(positions) == trace.removed_degree
-            assert list(positions) == sorted(set(positions))
-            # the removed vertex is the last of its class, never decremented
-            removed = max(p for p, t in enumerate(seq.terms) if t == trace.removed_degree)
-            assert removed not in positions and positions[-1] < len(seq)
-            rest = [t - (p in positions) for p, t in enumerate(seq.terms) if p != removed]
-            assert trace.child == DegreeSequence(t for t in rest if t > 0)
-            children.add((trace.removed_degree, trace.child))
-        assert len(children) == len(traces)  # no pattern comes twice
+        pairs = list(_deletions(seq))
+        trace = lay_off(seq)
+        assert pairs[0] == (trace.child, trace.decremented_degrees)
+        for child, neighbours in pairs:
+            # remove one vertex of degree len(neighbours), then decrement one
+            # distinct other vertex of each degree d + 1 to d
+            rest = Counter(seq.terms)
+            rest.subtract([len(neighbours)] + [d + 1 for d in neighbours])
+            assert min(rest.values()) >= 0, (seq, neighbours)
+            rest.update(d for d in neighbours if d > 0)
+            assert +rest == Counter(child.terms), (seq, neighbours)
+        assert len(set(pairs)) == len(pairs)  # no pattern comes twice
+
+
+def brute_deletion_order(seq: DegreeSequence) -> list[tuple[DegreeSequence, tuple[int, ...]]]:
+    """The deletion order written out: degree classes from the smallest value
+    up; in each, every way to spread the removed degree over the classes
+    (the removed vertex's own class one short), decreasing lexicographically."""
+    runs = sorted(Counter(seq.terms).items(), reverse=True)
+    order = []
+    for k in reversed(range(len(runs))):
+        free = [size - (j == k) for j, (_, size) in enumerate(runs)]
+        removed = runs[k][0]
+        for counts in product(*(range(f, -1, -1) for f in free)):
+            if sum(counts) != removed:
+                continue
+            child: list[int] = []
+            neighbours: list[int] = []
+            for (value, _), f, c in zip(runs, free, counts):
+                child += [value] * (f - c) + [value - 1] * c
+                neighbours += [value - 1] * c
+            order.append((DegreeSequence(d for d in child if d > 0), tuple(neighbours)))
+    return order
+
+
+def test_deletion_order_is_pinned_by_brute_force():
+    sizes = []
+    for text in ("4,2^10", "5,3,2^9", "6,4,3^3,2^5,1^2", "4^2,3^4,2^3,1^2"):
+        seq = parse_sequence(text)
+        expected = brute_deletion_order(seq)
+        assert list(_deletions(seq)) == expected, text
+        sizes.append(len(expected))
+    assert sizes == [3, 8, 84, 52]
 
 
 def test_deletions_reach_every_child_of_every_realization():
@@ -343,9 +374,7 @@ def test_deletions_reach_every_child_of_every_realization():
             for v, around in deletions:
                 rest = [terms[u] - (around >> u & 1) for u in range(n) if u != v]
                 brute.add(DegreeSequence(d for d in rest if d > 0))
-            generated = {
-                trace.child for trace in _deletions(seq) if _erdos_gallai_ok(trace.child.terms)
-            }
+            generated = {child for child, _ in _deletions(seq) if _erdos_gallai_ok(child.terms)}
             assert generated == brute, seq
             checked += 1
     assert checked == 41 + 199 + 808
