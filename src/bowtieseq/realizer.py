@@ -62,20 +62,20 @@ class FamilyId(Enum):
     """The eleven closed shapes whose lay-off child can be rejected.
 
     Digits name the degree values in the family's sequence shape, e.g.
-    F11_4321 is the shape (4, 3^a, 2^b, 1^c).
+    F11_4321 is the shape (4, 3^a, 2^b, 1^c); ``_SHAPES`` spells each out.
     """
 
-    F1_433 = "F1_433"      # (4, 4, 4, 3^(n-3)), n odd >= 7
-    F2_43 = "F2_43"        # (4, 4, 3^(n-2)), n even >= 6
-    F3_4 = "F3_4"          # (4, 3^(n-1)), n odd >= 5
-    F4_432 = "F4_432"      # (4, 4, 3^a, 2^(n-2-a)), a >= 2 even
-    F7_432 = "F7_432"      # (4, 3^a, 2^(n-1-a)), a >= 2 even
-    F11_4321 = "F11_4321"  # (4, 3^a, 2^b, 1^(n-1-a-b))
-    F18_431 = "F18_431"    # (4, 3^a, 1^(n-1-a)), a >= 4
-    C3_TAIL = "C3_TAIL"    # (n-2, n-3, 2^(n-3), 1), n >= 6
-    SQ_42 = "SQ_42"        # (4, 4, 2^(n-2)), n >= 7
-    S_42 = "S_42"          # (4, 2^(n-1)), n = 5 or n >= 8
-    S_4221 = "S_4221"      # (4, 2^a, 1^(n-1-a)), a >= 4
+    F1_433 = "F1_433"
+    F2_43 = "F2_43"
+    F3_4 = "F3_4"
+    F4_432 = "F4_432"
+    F7_432 = "F7_432"
+    F11_4321 = "F11_4321"
+    F18_431 = "F18_431"
+    C3_TAIL = "C3_TAIL"
+    SQ_42 = "SQ_42"
+    S_42 = "S_42"
+    S_4221 = "S_4221"
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class FamilyPattern:
     """One family member: the family id plus its free parameters.
 
     ``a`` and ``b`` are run lengths where the family has them (see
-    FamilyId comments); remaining run lengths are determined by ``n``.
+    ``_SHAPES``); the remaining run length is determined by ``n``.
     """
 
     id: FamilyId
@@ -92,123 +92,73 @@ class FamilyPattern:
     b: int | None = None
 
 
+# Each shape as runs (value, length) over the values 4..1; a length is a
+# number, a parameter of FamilyPattern, or "rest" (whatever n leaves).  The
+# tail shape (n-2, n-3, 2^(n-3), 1) has values that depend on n: see _runs.
+_SHAPES = {
+    FamilyId.F1_433: ((4, 3), (3, "rest")),
+    FamilyId.F2_43: ((4, 2), (3, "rest")),
+    FamilyId.F3_4: ((4, 1), (3, "rest")),
+    FamilyId.F4_432: ((4, 2), (3, "a"), (2, "rest")),
+    FamilyId.F7_432: ((4, 1), (3, "a"), (2, "rest")),
+    FamilyId.F11_4321: ((4, 1), (3, "a"), (2, "b"), (1, "rest")),
+    FamilyId.F18_431: ((4, 1), (3, "a"), (1, "rest")),
+    FamilyId.SQ_42: ((4, 2), (2, "rest")),
+    FamilyId.S_42: ((4, 1), (2, "rest")),
+    FamilyId.S_4221: ((4, 1), (2, "a"), (1, "rest")),
+}
+
+
+def _runs(pattern: FamilyPattern) -> list[tuple[int, int]]:
+    """The pattern's runs (value, length), unchecked; BadParams if the
+    family has a parameter the pattern leaves out."""
+    n = pattern.n
+    if pattern.id is FamilyId.C3_TAIL:
+        return [(n - 2, 1), (n - 3, 1), (2, n - 3), (1, 1)]
+    params = {"a": pattern.a, "b": pattern.b}
+    runs = [(value, params.get(length, length)) for value, length in _SHAPES[pattern.id]]
+    if any(length is None for _, length in runs):
+        raise BadParams(f"{pattern!r} lacks a parameter")
+    rest = n - sum(length for _, length in runs if length != "rest")
+    return [(value, rest if length == "rest" else length) for value, length in runs]
+
+
 def family_sequence(pattern: FamilyPattern) -> DegreeSequence:
     """The degree sequence a pattern denotes (without validating ranges)."""
-    f, n, a, b = pattern.id, pattern.n, pattern.a, pattern.b
-    if f is FamilyId.F1_433:
-        return DegreeSequence((4, 4, 4) + (3,) * (n - 3))
-    if f is FamilyId.F2_43:
-        return DegreeSequence((4, 4) + (3,) * (n - 2))
-    if f is FamilyId.F3_4:
-        return DegreeSequence((4,) + (3,) * (n - 1))
-    if f is FamilyId.F4_432:
-        assert a is not None
-        return DegreeSequence((4, 4) + (3,) * a + (2,) * (n - 2 - a))
-    if f is FamilyId.F7_432:
-        assert a is not None
-        return DegreeSequence((4,) + (3,) * a + (2,) * (n - 1 - a))
-    if f is FamilyId.F11_4321:
-        assert a is not None and b is not None
-        return DegreeSequence((4,) + (3,) * a + (2,) * b + (1,) * (n - 1 - a - b))
-    if f is FamilyId.F18_431:
-        assert a is not None
-        return DegreeSequence((4,) + (3,) * a + (1,) * (n - 1 - a))
-    if f is FamilyId.C3_TAIL:
-        return DegreeSequence((n - 2, n - 3) + (2,) * (n - 3) + (1,))
-    if f is FamilyId.SQ_42:
-        return DegreeSequence((4, 4) + (2,) * (n - 2))
-    if f is FamilyId.S_42:
-        return DegreeSequence((4,) + (2,) * (n - 1))
-    if f is FamilyId.S_4221:
-        assert a is not None
-        return DegreeSequence((4,) + (2,) * a + (1,) * (n - 1 - a))
-    raise BadParams(f"unknown family {f!r}")
+    return DegreeSequence(value for value, length in _runs(pattern) for _ in range(length))
 
 
 def match_family(seq: DegreeSequence) -> FamilyPattern | None:
     """Classify a sequence into a family, or None.
 
     The tail family (n-2, n-3, 2^(n-3), 1) is tried first because at n = 6
-    it coincides with the (4, 3^a, 2^b, 1^c) shape; after that, the shapes
-    are disjoint and are recognized from the run lengths of values 4..1.
+    it coincides with the (4, 3^a, 2^b, 1^c) shape.  Otherwise the shape is
+    the one whose run values are the sequence's and whose fixed run lengths
+    equal the sequence's run lengths.
     """
-    terms = seq.terms
-    n = len(terms)
-    if n >= 6 and terms == (n - 2, n - 3) + (2,) * (n - 3) + (1,):
-        return FamilyPattern(FamilyId.C3_TAIL, n)
-    if n == 0 or terms[0] != 4:
-        return None
-    c4 = terms.count(4)
-    c3 = terms.count(3)
-    c2 = terms.count(2)
-    c1 = terms.count(1)
-    if (c4, c3, c2, c1) == (3, n - 3, 0, 0):
-        return FamilyPattern(FamilyId.F1_433, n)
-    if (c4, c3, c2, c1) == (2, n - 2, 0, 0):
-        return FamilyPattern(FamilyId.F2_43, n)
-    if (c4, c3, c2, c1) == (1, n - 1, 0, 0):
-        return FamilyPattern(FamilyId.F3_4, n)
-    if c4 == 2 and c3 >= 1 and c2 >= 1 and c1 == 0:
-        return FamilyPattern(FamilyId.F4_432, n, a=c3)
-    if c4 == 1 and c3 >= 1 and c2 >= 1 and c1 >= 1:
-        return FamilyPattern(FamilyId.F11_4321, n, a=c3, b=c2)
-    if c4 == 1 and c3 >= 1 and c2 >= 1 and c1 == 0:
-        return FamilyPattern(FamilyId.F7_432, n, a=c3)
-    if c4 == 1 and c3 >= 1 and c2 == 0 and c1 >= 1:
-        return FamilyPattern(FamilyId.F18_431, n, a=c3)
-    if (c4, c3, c2, c1) == (2, 0, n - 2, 0):
-        return FamilyPattern(FamilyId.SQ_42, n)
-    if (c4, c3, c2, c1) == (1, 0, n - 1, 0):
-        return FamilyPattern(FamilyId.S_42, n)
-    if c4 == 1 and c3 == 0 and c2 >= 1 and c1 >= 1:
-        return FamilyPattern(FamilyId.S_4221, n, a=c2)
-    return None
-
-
-def _validate_params(pattern: FamilyPattern) -> None:
-    f, n, a, b = pattern.id, pattern.n, pattern.a, pattern.b
-    ok = True
-    if f is FamilyId.F1_433:
-        ok = n >= 7 and n % 2 == 1
-    elif f is FamilyId.F2_43:
-        ok = n >= 6 and n % 2 == 0
-    elif f is FamilyId.F3_4:
-        ok = n >= 5 and n % 2 == 1
-    elif f is FamilyId.F4_432:
-        ok = a is not None and a >= 2 and a % 2 == 0 and n - 2 - a >= 1
-    elif f is FamilyId.F7_432:
-        ok = a is not None and a >= 2 and a % 2 == 0 and n - 1 - a >= 1
-    elif f is FamilyId.F11_4321:
-        ok = (
-            a is not None
-            and b is not None
-            and a >= 1
-            and b >= 1
-            and a + b >= 4
-            and n - 1 - a - b >= 1
-            and (a + (n - 1 - a - b)) % 2 == 0
-        )
-    elif f is FamilyId.F18_431:
-        ok = a is not None and a >= 4 and n - 1 - a >= 1 and (a + (n - 1 - a)) % 2 == 0
-    elif f is FamilyId.C3_TAIL:
-        ok = n >= 6
-    elif f is FamilyId.SQ_42:
-        ok = n >= 7
-    elif f is FamilyId.S_42:
-        ok = n == 5 or n >= 8
-    elif f is FamilyId.S_4221:
-        ok = a is not None and a >= 4 and n - 1 - a >= 2 and (n - 1 - a) % 2 == 0
-    if not ok:
-        raise BadParams(f"invalid parameters {pattern!r}")
+    runs = [(value, len(list(group))) for value, group in groupby(seq.terms)]
+    n = len(seq)
+    candidates = [FamilyPattern(FamilyId.C3_TAIL, n)]
+    for family, shape in _SHAPES.items():
+        if [value for value, _ in shape] == [value for value, _ in runs]:
+            params = {length: size for (_, length), (_, size) in zip(shape, runs)}
+            candidates.append(FamilyPattern(family, n, params.get("a"), params.get("b")))
+    return next((pattern for pattern in candidates if _runs(pattern) == runs), None)
 
 
 def construct_family(pattern: FamilyPattern) -> SimpleGraph:
     """Realize a family member with a bowtie, through ``realize_with_bowtie``.
 
-    Raises BadParams when the parameters fall outside the family's range
-    (which includes denoting a sequence the decision procedure rejects).
+    Raises BadParams when the parameters fall outside the family's range:
+    a parameter is missing, a run is empty or a value not positive, the
+    decision procedure rejects the sequence, or the pattern is F1_433 below
+    n = 7 (the one bound the rules do not decide: (4^3, 3^2) is accepted).
     """
-    _validate_params(pattern)
+    runs = _runs(pattern)
+    if any(value < 1 or length < 1 for value, length in runs) or (
+        pattern.id is FamilyId.F1_433 and pattern.n < 7
+    ):
+        raise BadParams(f"invalid parameters {pattern!r}")
     try:
         return realize_with_bowtie(family_sequence(pattern))
     except NotPotentially as exc:
@@ -252,6 +202,8 @@ def _fill(free: list[int], total: int) -> list[int]:
 def _patterns(free: list[int], total: int) -> Iterator[tuple[int, ...]]:
     """Every count vector c with 0 <= c[j] <= free[j] and sum total, in
     decreasing lexicographic order (so ``_fill(free, total)`` comes first)."""
+    if total > sum(free):
+        return
     counts = _fill(free, total)
     while True:
         yield tuple(counts)

@@ -16,6 +16,7 @@ import pytest
 import bowtieseq.cli as cli
 import bowtieseq.realizer as realizer
 from _brute import brute_contains_bowtie, nonincreasing_positive_sequences
+from _placement import has_bowtie_realization, rule_shape_neighbourhood
 from realize_sweep import certificate_problem, realize_every_accepted_sequence
 from bowtieseq import (
     DegreeSequence,
@@ -29,6 +30,7 @@ from bowtieseq import (
     sigma_closed_form,
 )
 from bowtieseq.characterize import sigma_witness
+from bowtieseq.graphs import oracle_has_bowtie_realization
 from bowtieseq.realizer import FamilyId, FamilyPattern, family_sequence
 from bowtieseq.sequences import lay_off
 from bowtieseq.verify import (
@@ -94,6 +96,44 @@ def test_decision_rules_match_the_exhaustive_oracle():
         f"PASS: decision rules agree with the brute-force oracle on every "
         f"graphic sequence of length 5..10 ({sum(tested.values())} sequences, "
         f"{accepted} accepted, 0 mismatches, {elapsed:.1f}s)"
+    )
+
+
+def test_placement_reference_matches_the_exhaustive_oracle():
+    started = time.monotonic()
+    tested = accepted = 0
+    for n in range(5, 9):
+        for seq in enumerate_graphic_sequences(n):
+            found = has_bowtie_realization(seq.terms)
+            assert found == oracle_has_bowtie_realization(seq), seq
+            tested += 1
+            accepted += found
+    assert tested == 1202
+    print(
+        f"PASS: the bowtie placement reference agrees with the exhaustive "
+        f"oracle on every graphic sequence of length 5..8 ({tested} sequences, "
+        f"{accepted} with a bowtie, {time.monotonic() - started:.1f}s)"
+    )
+
+
+def test_rules_match_the_placement_reference_on_rule_shapes_beyond_the_sweep():
+    # past n = 10 a graphic sequence is rejected by rules 1-2 (degrees alone)
+    # or by the explicit shapes of rules 3-4: check each shape and every
+    # graphic sequence one step from one
+    started = time.monotonic()
+    tested = accepted = 0
+    for n in range(11, 21):
+        for terms in sorted(rule_shape_neighbourhood(n)):
+            found = has_bowtie_realization(terms)
+            assert found == check_potentially(DegreeSequence(terms)).potentially, terms
+            tested += 1
+            accepted += found
+    assert tested == 1770
+    print(
+        f"PASS: decision rules agree with the bowtie placement reference on "
+        f"every rule 3/4 shape of length 11..20 and its graphic neighbours "
+        f"({tested} sequences, {accepted} accepted, 0 mismatches, "
+        f"{time.monotonic() - started:.1f}s)"
     )
 
 
@@ -169,6 +209,48 @@ def test_realizer_is_sound_everywhere_it_can_be_checked(monkeypatch):
         f"PASS: realizer produced a valid bowtie realization for all "
         f"{realized} accepted sequences of length 5..8 and for all "
         f"{len(patterns)} family members up to 30 vertices ({elapsed:.1f}s)"
+    )
+
+
+FREE_PARAMETERS = {
+    FamilyId.F4_432: "a",
+    FamilyId.F7_432: "a",
+    FamilyId.F11_4321: "ab",
+    FamilyId.F18_431: "a",
+    FamilyId.S_4221: "a",
+}
+
+
+def test_construct_family_accepts_exactly_the_family_members(monkeypatch):
+    # every parameter choice around each range, with the realization stubbed
+    # to the decision it stands on: BadParams exactly off the member list
+    def decided_realization(seq):
+        if not check_potentially(seq).potentially:
+            raise realizer.NotPotentially(str(seq))
+        return SimpleGraph(len(seq))
+
+    monkeypatch.setattr(realizer, "realize_with_bowtie", decided_realization)
+    members = set(all_family_patterns(30))
+    tried = rejected = 0
+    for family in FamilyId:
+        params = FREE_PARAMETERS.get(family, "")
+        for n in range(1, 31):
+            values = [None, *range(-1, n + 2)]
+            for a in values if "a" in params else [None]:
+                for b in values if "b" in params else [None]:
+                    pattern = FamilyPattern(family, n, a=a, b=b)
+                    try:
+                        realizer.construct_family(pattern)
+                    except realizer.BadParams:
+                        assert pattern not in members, pattern
+                        rejected += 1
+                    else:
+                        assert pattern in members, pattern
+                    tried += 1
+    assert tried - rejected == len(members) == 2594
+    print(
+        f"PASS: construct_family raised BadParams on {rejected} of {tried} "
+        f"parameter choices with n <= 30, exactly those off the member list"
     )
 
 

@@ -100,7 +100,7 @@ def test_match_family_prefers_the_tail_shape_at_six_vertices():
 
 
 def test_match_family_rejects_foreign_shapes():
-    for text in ("5,3,2^5", "4^4,3^2", "5,2^6", "3^6", "4,4,4,2,2,2", "2^5"):
+    for text in ("5,3,2^5", "4^4,3^2", "5,2^6", "3^6", "4,4,4,2,2,2", "2^5", "4", "4^2", "4^3"):
         assert match_family(parse_sequence(text)) is None, text
 
 
@@ -355,6 +355,16 @@ def test_deletion_order_is_pinned_by_brute_force():
         assert list(_deletions(seq)) == expected, text
         sizes.append(len(expected))
     assert sizes == [3, 8, 84, 52]
+
+
+def test_deletions_never_ask_more_neighbours_than_there_are():
+    # a vertex of degree d with fewer than d other vertices has no deletion
+    # (only a non-graphic sequence has such a vertex)
+    assert list(_deletions(parse_sequence("3^2"))) == []
+    assert list(_deletions(parse_sequence("5,1^3"))) == [
+        (parse_sequence("4,1^2"), (4,)),
+        (parse_sequence("5,1"), (0,)),
+    ]
 
 
 def test_deletions_reach_every_child_of_every_realization():
