@@ -115,8 +115,8 @@ def _rule_report(seq: DegreeSequence) -> CheckReport:
     """Length and rules 1 through 6 for a sequence already known graphic.
 
     ``check_potentially`` reaches this after its own graphicality test; the
-    verify enumerator and the realizer's deletion step call it directly on
-    sequences they have proved graphic, so each is proved graphic once.
+    verify enumerator calls it directly on sequences it has proved graphic,
+    so each is proved graphic once.
     """
     n = len(seq)
     if n < 5:

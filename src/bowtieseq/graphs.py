@@ -191,21 +191,11 @@ def attach_by_degrees(graph: SimpleGraph, neighbour_degrees: Iterable[int]) -> S
     For each required degree (largest first) the lowest-index unused vertex
     currently of that degree is chosen; required zeros create fresh isolated
     vertices first.  This inverts a lay-off step at the degree level and is
-    what ``reattach`` does; the realizer runs the same step in place.
+    what ``reattach`` does.  Equal required degrees come in a row; each
+    looks above the last pick.
     """
     degrees = graph.degrees()
     edges = list(graph.edges)
-    _attach(degrees, edges, neighbour_degrees)
-    return SimpleGraph(len(degrees), edges)
-
-
-def _attach(
-    degrees: list[int], edges: list[tuple[int, int]], neighbour_degrees: Iterable[int]
-) -> None:
-    """``attach_by_degrees`` on a degree list and an edge list, in place.
-
-    Equal required degrees come in a row; each looks above the last pick.
-    """
     picks: list[int] = []
     for target in sorted(neighbour_degrees, reverse=True):
         if target == 0:
@@ -217,11 +207,8 @@ def _attach(
             picks.append(degrees.index(target, start))
         except ValueError:
             raise TraceMismatch(f"no unused vertex of degree {target}") from None
-    new_vertex = len(degrees)
-    for v in picks:
-        degrees[v] += 1
-        edges.append((v, new_vertex))
-    degrees.append(len(picks))
+    edges.extend((v, len(degrees)) for v in picks)
+    return SimpleGraph(len(degrees) + 1, edges)
 
 
 def _erdos_gallai_ok(residual: Iterable[int]) -> bool:
@@ -231,8 +218,9 @@ def _erdos_gallai_ok(residual: Iterable[int]) -> bool:
     degrees ends (Tripathi & Vijay, Discrete Math. 2003), so only those k
     are tested, and the tail sum is skipped where prefix <= k(k-1) holds
     on its own.  The answer is the one the full set of inequalities gives.
-    This is the graphicality proof of the walk's prune, of the oracle and of
-    the verify module's enumerator alike.
+    This is the graphicality proof of the walk's prune, of the oracle, of
+    the verify module's enumerator and of the realizer's bowtie placement
+    alike.
     """
     degs = sorted(residual, reverse=True)
     degs.append(0)  # sentinel: closes the last run and bounds the positives

@@ -1,22 +1,25 @@
 """Constructive realizations containing a bowtie, for accepted sequences.
 
-``realize_with_bowtie`` builds a realization by vertex deletions alone.
-While the sequence is longer than ENUMERATION_LIMIT, it deletes the first
-candidate of ``_deletions`` whose child is accepted (one exists: a bowtie
-realization has a vertex outside its bowtie).  The candidates take the
-degree classes from the smallest value up and, within a class, every
-decrement pattern once, starting with the lay-off onto the largest other
-terms.  Each child is proved graphic by the Erdős–Gallai test first; a
-lay-off always passes (Kleitman & Wang 1973).  The short sequence left
-takes the first bowtie realization of the exhaustive walk, and the deleted
-vertices are added back, last first, joined to vertices of the degrees
-their deletions decremented; adding edges never loses a bowtie.
+``realize_with_bowtie`` places the bowtie first: a centre c joined to wings
+a, b, d, e, with the wing edges ab and de and some of the cross edges ad,
+ae, bd and be.  For each placement up to equal degrees (``_placements``),
+each bowtie vertex in turn is joined to the outside vertices of largest
+remaining demand; the first placement whose outside demands pass the
+Erdős–Gallai test is completed by Havel–Hakimi on the outside vertices.
+
+This is exact, by the switching argument of ``tests/_placement.py``.  If a
+realization holds the placement and joins a bowtie vertex v to an outside
+vertex x but not to an outside y of larger remaining demand, then y has a
+neighbour z, not x, that x lacks, and trading vx, yz for vy, xz keeps every
+degree and every bowtie edge.  So v may take the largest demands (the
+lay-off of Kleitman & Wang 1973, kept outside the bowtie), and after the
+fifth bowtie vertex what is left is a graph on the outside vertices alone,
+which Erdős–Gallai decides exactly.
 
 The result must have exactly the input degrees and a bowtie.  A failed
-validation, or an accepted sequence with no accepted child, raises
+validation, or an accepted sequence with no placement, raises
 InternalExhaustion: the characterization itself has been falsified, so the
-alarm must never be swallowed.  ``construct_family`` realizes a member of
-the family vocabulary through ``realize_with_bowtie``.
+alarm must never be swallowed.
 """
 
 from __future__ import annotations
@@ -24,20 +27,18 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
+from heapq import heapify, heappop, heappush
+from itertools import combinations, groupby
 
-from .characterize import _rule_report, check_potentially
+from .characterize import check_potentially
 from .graphs import (
     SimpleGraph,
     TraceMismatch,
     ZeroDegreeVertex,
-    _attach,
     _erdos_gallai_ok,
-    _first_bowtie_adjacency,
     attach_by_degrees,
     contains_bowtie,
     degree_sequence,
-    ENUMERATION_LIMIT,
 )
 from .sequences import DegreeSequence, LayoffTrace
 
@@ -128,13 +129,25 @@ def family_sequence(pattern: FamilyPattern) -> DegreeSequence:
     return DegreeSequence(value for value, length in _runs(pattern) for _ in range(length))
 
 
+def _in_range(pattern: FamilyPattern) -> bool:
+    """Whether the pattern is a family member: every run non-empty with a
+    positive value, F1_433 from n = 7 (the one bound the decision rules do
+    not decide: (4^3, 3^2) is accepted) and the rules accept the sequence."""
+    return (
+        all(value >= 1 and length >= 1 for value, length in _runs(pattern))
+        and not (pattern.id is FamilyId.F1_433 and pattern.n < 7)
+        and check_potentially(family_sequence(pattern)).potentially
+    )
+
+
 def match_family(seq: DegreeSequence) -> FamilyPattern | None:
     """Classify a sequence into a family, or None.
 
     The tail family (n-2, n-3, 2^(n-3), 1) is tried first because at n = 6
     it coincides with the (4, 3^a, 2^b, 1^c) shape.  Otherwise the shape is
     the one whose run values are the sequence's and whose fixed run lengths
-    equal the sequence's run lengths.
+    equal the sequence's run lengths.  A match must be in the family's
+    range, the one ``construct_family`` accepts.
     """
     runs = [(value, len(list(group))) for value, group in groupby(seq.terms)]
     n = len(seq)
@@ -143,26 +156,23 @@ def match_family(seq: DegreeSequence) -> FamilyPattern | None:
         if [value for value, _ in shape] == [value for value, _ in runs]:
             params = {length: size for (_, length), (_, size) in zip(shape, runs)}
             candidates.append(FamilyPattern(family, n, params.get("a"), params.get("b")))
-    return next((pattern for pattern in candidates if _runs(pattern) == runs), None)
+    return next(
+        (pattern for pattern in candidates if _runs(pattern) == runs and _in_range(pattern)),
+        None,
+    )
 
 
 def construct_family(pattern: FamilyPattern) -> SimpleGraph:
     """Realize a family member with a bowtie, through ``realize_with_bowtie``.
 
-    Raises BadParams when the parameters fall outside the family's range:
-    a parameter is missing, a run is empty or a value not positive, the
+    Raises BadParams when the pattern is outside the family's range: a
+    parameter is missing, a run is empty or a value not positive, the
     decision procedure rejects the sequence, or the pattern is F1_433 below
-    n = 7 (the one bound the rules do not decide: (4^3, 3^2) is accepted).
+    n = 7.
     """
-    runs = _runs(pattern)
-    if any(value < 1 or length < 1 for value, length in runs) or (
-        pattern.id is FamilyId.F1_433 and pattern.n < 7
-    ):
+    if not _in_range(pattern):
         raise BadParams(f"invalid parameters {pattern!r}")
-    try:
-        return realize_with_bowtie(family_sequence(pattern))
-    except NotPotentially as exc:
-        raise BadParams(f"{pattern!r} denotes a rejected sequence") from exc
+    return realize_with_bowtie(family_sequence(pattern))
 
 
 def _realizes_with_bowtie(graph: SimpleGraph, expected: DegreeSequence) -> bool:
@@ -190,57 +200,72 @@ def reattach(graph: SimpleGraph, trace: LayoffTrace) -> SimpleGraph:
     return attach_by_degrees(graph, trace.decremented_degrees)
 
 
-def _fill(free: list[int], total: int) -> list[int]:
-    """Spread ``total`` over places with room ``free``, first places first."""
-    counts = []
-    for room in free:
-        counts.append(min(room, total))
-        total -= counts[-1]
-    return counts
+def _placements(terms: tuple[int, ...]) -> Iterator[tuple[list[int], list[tuple[int, int]]]]:
+    """Every bowtie placement up to equal degrees, as (vertices c, a, b, d, e;
+    edges): each centre value >= 4 and multiset of four wing values >= 2,
+    from the largest values down, each of the three wing pairings, and each
+    subset of the cross edges, from all four down.  Vertex i has degree
+    terms[i], and a value goes on the lowest free vertices of its class."""
+    first: dict[int, int] = {}  # each value's lowest vertex, largest value first
+    for v, value in enumerate(terms):
+        first.setdefault(value, v)
+    for centre in [value for value in first if value >= 4]:
+        c = first[centre]
+        # the wing candidates: the lowest four vertices of each class but c
+        pool = [
+            v
+            for v, value in enumerate(terms)
+            if value >= 2 and v != c and v - first[value] < 4 + (value == centre)
+        ]
+        placed: set[tuple[int, ...]] = set()  # the wing values placed so far
+        for w, x, y, z in combinations(pool, 4):
+            values = (terms[w], terms[x], terms[y], terms[z])
+            if values in placed:
+                continue
+            placed.add(values)
+            for a, b, d, e in ((w, x, y, z), (w, y, x, z), (w, z, x, y)):
+                star = [(c, a), (c, b), (c, d), (c, e), (a, b), (d, e)]
+                cross = ((a, d), (a, e), (b, d), (b, e))
+                for mask in range(15, -1, -1):
+                    yield [c, w, x, y, z], star + [cross[j] for j in range(4) if mask >> j & 1]
 
 
-def _patterns(free: list[int], total: int) -> Iterator[tuple[int, ...]]:
-    """Every count vector c with 0 <= c[j] <= free[j] and sum total, in
-    decreasing lexicographic order (so ``_fill(free, total)`` comes first)."""
-    if total > sum(free):
-        return
-    counts = _fill(free, total)
-    while True:
-        yield tuple(counts)
-        room = held = 0  # free places and counts to the right of j
-        for j in range(len(counts) - 1, -1, -1):
-            if counts[j] and room > held:
-                break
-            room += free[j]
-            held += counts[j]
-        else:
-            return
-        counts[j] -= 1
-        counts[j + 1 :] = _fill(free[j + 1 :], held + 1)
+def _complete(
+    terms: tuple[int, ...], bowtie: list[int], inner: list[tuple[int, int]]
+) -> SimpleGraph | None:
+    """A realization that holds one bowtie placement, or None if there is none.
 
-
-def _deletions(seq: DegreeSequence) -> Iterator[tuple[DegreeSequence, tuple[int, ...]]]:
-    """Every one-vertex deletion of ``seq``, as (child, neighbour degrees).
-
-    A deletion removes one vertex of a degree class and decrements the
-    first positions of each class, so equal terms are never told apart;
-    the neighbour degrees are the decremented values (0 for a vertex the
-    child drops).  The classes go from the smallest value up, each through
-    ``_patterns`` in its order, so the first candidate is ``lay_off(seq)``.
+    Each bowtie vertex in turn is joined to the outside vertices of largest
+    remaining demand; once Erdős–Gallai proves the outside demands graphic,
+    Havel–Hakimi on a max-heap realizes them.
     """
-    runs = [(value, len(list(group))) for value, group in groupby(seq.terms)]
-    for k in reversed(range(len(runs))):
-        free = [size for _, size in runs]
-        free[k] -= 1
-        for counts in _patterns(free, runs[k][0]):
-            rest: list[int] = []  # nonincreasing, as value - 1 >= the next run's value
-            neighbours: list[int] = []
-            for (value, _), room, c in zip(runs, free, counts):
-                rest += [value] * (room - c)
-                if value > 1:
-                    rest += [value - 1] * c
-                neighbours += [value - 1] * c
-            yield DegreeSequence._from_sorted(tuple(rest)), tuple(neighbours)
+    demand = list(terms)
+    for u, v in inner:
+        demand[u] -= 1
+        demand[v] -= 1
+    if min(demand[v] for v in bowtie) < 0:
+        return None
+    outside = [v for v in range(len(terms)) if v not in bowtie]
+    edges = list(inner)
+    for v in bowtie:
+        outside.sort(key=lambda u: -demand[u])  # stable: ties stay in vertex order
+        picks = outside[: demand[v]]
+        if len(picks) != demand[v] or not all(demand[u] for u in picks):
+            return None
+        for u in picks:
+            demand[u] -= 1
+            edges.append((v, u))
+    if not _erdos_gallai_ok(demand[u] for u in outside):
+        return None
+    heap = [(-demand[u], u) for u in outside if demand[u]]
+    heapify(heap)
+    while heap:
+        need, u = heappop(heap)
+        for left, v in [heappop(heap) for _ in range(-need)]:
+            edges.append((u, v))
+            if left < -1:
+                heappush(heap, (left + 1, v))
+    return SimpleGraph(len(terms), edges)
 
 
 def realize_with_bowtie(seq: DegreeSequence) -> SimpleGraph:
@@ -254,26 +279,12 @@ def realize_with_bowtie(seq: DegreeSequence) -> SimpleGraph:
     if not report.potentially:
         detail = report.failure.value if report.failure is not None else "rejected"
         raise NotPotentially(f"{seq} is not potentially bowtie-graphic ({detail})")
-
-    removed: list[tuple[int, ...]] = []  # neighbour degrees of each deleted vertex
-    current = seq
-    while len(current) > ENUMERATION_LIMIT:
-        for child, neighbour_degrees in _deletions(current):
-            if _erdos_gallai_ok(child.terms) and _rule_report(child).potentially:
-                break
-        else:
-            raise InternalExhaustion(f"{current} is accepted but has no accepted deletion")
-        removed.append(neighbour_degrees)
-        current = child
-    adjacency = _first_bowtie_adjacency(current.terms)
-    if adjacency is None:
-        raise InternalExhaustion(f"accepted sequence {current} has no bowtie realization")
-    m = len(current)
-    degrees = list(current.terms)
-    edges = [(u, v) for u in range(m) for v in range(u + 1, m) if adjacency[u] >> v & 1]
-    for neighbour_degrees in reversed(removed):
-        _attach(degrees, edges, neighbour_degrees)
-    graph = SimpleGraph(len(degrees), edges)
+    for placement in _placements(seq.terms):
+        graph = _complete(seq.terms, *placement)
+        if graph is not None:
+            break
+    else:
+        raise InternalExhaustion(f"accepted sequence {seq} has no bowtie placement")
     if not _realizes_with_bowtie(graph, seq):
         raise InternalExhaustion(f"realization of {seq} failed final validation")
     return graph

@@ -4,8 +4,9 @@
 
 compares ``has_bowtie_realization`` with the decision rules on every rule 3
 or rule 4 shape of length 11..MAX_N and on every graphic neighbour of one,
-and exits 1 on any disagreement.  The acceptance suite runs MAX_N = 20; CI
-runs 30.
+realizes each accepted one with ``realize_with_bowtie`` and checks the
+graph's certificate, and exits 1 on any disagreement or bad graph.  The
+acceptance suite runs MAX_N = 20; CI runs 30.
 
 The decider uses nothing of the package, only the bowtie's definition, one
 switching argument and the Erdős–Gallai test of ``_brute``.  A bowtie is a
@@ -133,21 +134,33 @@ def rule_shape_neighbourhood(n: int) -> set[tuple[int, ...]]:
 
 
 def main(argv: list[str]) -> int:
-    from bowtieseq import DegreeSequence, check_potentially  # the rules under test
+    # the rules and the realizer under test
+    from bowtieseq import DegreeSequence, check_potentially, realize_with_bowtie
+    from realize_sweep import certificate_problem
 
     max_n = int(argv[0])
     started = time.monotonic()
-    checked = 0
+    checked = realized = 0
     mismatches = []
     for n in range(11, max_n + 1):
         for terms in sorted(rule_shape_neighbourhood(n)):
-            if has_bowtie_realization(terms) != check_potentially(DegreeSequence(terms)).potentially:
-                mismatches.append(terms)
+            seq = DegreeSequence(terms)
+            accepted = check_potentially(seq).potentially
+            if has_bowtie_realization(terms) != accepted:
+                mismatches.append(f"mismatch: {seq}")
+            elif accepted:
+                problem = certificate_problem(realize_with_bowtie(seq), seq)
+                if problem is not None:
+                    mismatches.append(f"realization of {seq}: {problem}")
+                realized += 1
             checked += 1
     elapsed = time.monotonic() - started
-    print(f"n=11..{max_n} sequences={checked} mismatches={len(mismatches)} seconds={elapsed:.1f}")
-    for terms in mismatches[:10]:
-        print("mismatch:", ",".join(map(str, terms)))
+    print(
+        f"n=11..{max_n} sequences={checked} realized={realized} "
+        f"mismatches={len(mismatches)} seconds={elapsed:.1f}"
+    )
+    for line in mismatches[:10]:
+        print(line)
     return 1 if mismatches else 0
 
 

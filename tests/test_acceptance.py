@@ -137,6 +137,26 @@ def test_rules_match_the_placement_reference_on_rule_shapes_beyond_the_sweep():
     )
 
 
+def test_realizer_builds_every_accepted_rule_shape_neighbour():
+    # the accepted sequences next to a rejected shape are where the first
+    # bowtie placements are most likely to fail
+    started = time.monotonic()
+    realized = 0
+    for n in range(11, 21):
+        for terms in sorted(rule_shape_neighbourhood(n)):
+            seq = DegreeSequence(terms)
+            if check_potentially(seq).potentially:
+                problem = certificate_problem(realize_with_bowtie(seq), seq)
+                assert problem is None, f"realization of {seq}: {problem}"
+                realized += 1
+    assert realized == 1350
+    print(
+        f"PASS: realizer produced a valid bowtie realization for all {realized} "
+        f"accepted sequences among the rule 3/4 shapes of length 11..20 and "
+        f"their graphic neighbours ({time.monotonic() - started:.1f}s)"
+    )
+
+
 def test_empirical_threshold_matches_the_closed_form():
     bounds = {}
     for n in range(5, 11):
@@ -281,22 +301,22 @@ def planted_bowtie_graph(rng: random.Random, n: int) -> SimpleGraph:
 
 
 def test_realizer_builds_random_planted_bowtie_sequences():
-    # deletion chains of up to 290 steps, at sizes the exhaustive sweeps
-    # (n <= 12) do not reach
+    # sizes the exhaustive sweeps (n <= 12) do not reach, up to n = 2000
     started = time.monotonic()
     rng = random.Random(11300)
     sizes = []
-    for _ in range(300):
-        n = rng.randint(11, 300)
+    for count in range(303):
+        n = rng.randint(11, 300) if count < 300 else 2000
         seq = DegreeSequence(planted_bowtie_graph(rng, n).degrees())
         problem = certificate_problem(realize_with_bowtie(seq), seq)
         assert problem is None, f"realization of {seq}: {problem}"
         sizes.append(n)
-    assert min(sizes) < 20 and max(sizes) > 290
+    assert min(sizes) < 20 and max(sizes[:300]) > 290
     print(
-        f"PASS: realizer produced a valid bowtie realization for 300 degree "
-        f"sequences of random graphs with a planted bowtie, n = {min(sizes)}.."
-        f"{max(sizes)} ({time.monotonic() - started:.1f}s)"
+        f"PASS: realizer produced a valid bowtie realization for {len(sizes)} "
+        f"degree sequences of random graphs with a planted bowtie, "
+        f"n = {min(sizes)}..{max(sizes[:300])} and three with n = 2000 "
+        f"({time.monotonic() - started:.1f}s)"
     )
 
 

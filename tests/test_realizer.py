@@ -1,9 +1,6 @@
-"""Tests for the deletion realizer, its inverse step and the family vocabulary."""
+"""Tests for the placement realizer, the lay-off inverse step and the family vocabulary."""
 
 from __future__ import annotations
-
-from collections import Counter
-from itertools import product
 
 import pytest
 
@@ -19,17 +16,12 @@ from bowtieseq import (
     parse_sequence,
     realize_with_bowtie,
 )
-from bowtieseq.graphs import (
-    TraceMismatch,
-    _erdos_gallai_ok,
-    _realizations,
-    enumerate_realizations,
-)
+from bowtieseq.graphs import TraceMismatch
 from bowtieseq.realizer import (
     BadParams,
     FamilyId,
     FamilyPattern,
-    _deletions,
+    _placements,
     construct_family,
     family_sequence,
     match_family,
@@ -100,7 +92,10 @@ def test_match_family_prefers_the_tail_shape_at_six_vertices():
 
 
 def test_match_family_rejects_foreign_shapes():
-    for text in ("5,3,2^5", "4^4,3^2", "5,2^6", "3^6", "4,4,4,2,2,2", "2^5", "4", "4^2", "4^3"):
+    foreign = ("5,3,2^5", "4^4,3^2", "5,2^6", "3^6", "4,4,4,2,2,2", "2^5", "4", "4^2", "4^3")
+    # a family's runs, but outside its range: not graphic, or F1_433 below n = 7
+    out_of_range = ("4,3^2", "4,3,2", "4^2,2", "4^3,3^2")
+    for text in foreign + out_of_range:
         assert match_family(parse_sequence(text)) is None, text
 
 
@@ -171,13 +166,12 @@ def test_construct_family_rejects_out_of_range_parameters():
 
 
 def test_failed_construction_raises_the_alarm(monkeypatch):
-    # force a wrong base-case graph (one edge): the final validation must
-    # notice, also after the deleted vertices are added back
-    monkeypatch.setattr(
-        realizer_module,
-        "_first_bowtie_adjacency",
-        lambda terms: [0b10] + [0] * (len(terms) - 1),
-    )
+    # force a wrong graph (one edge) out of the placement step: the final
+    # validation must notice
+    def one_edge(terms, bowtie, inner):
+        return SimpleGraph(len(terms), [(0, 1)])
+
+    monkeypatch.setattr(realizer_module, "_complete", one_edge)
     with pytest.raises(InternalExhaustion, match="final validation"):
         construct_family(pat(FamilyId.S_42, 8))
     with pytest.raises(InternalExhaustion, match="final validation"):
@@ -186,19 +180,38 @@ def test_failed_construction_raises_the_alarm(monkeypatch):
 
 def test_an_accepted_sequence_with_no_way_down_raises_the_alarm(monkeypatch):
     seq = parse_sequence("5,3,2^9")
-    monkeypatch.setattr(realizer_module, "_first_bowtie_adjacency", lambda terms: None)
-    with pytest.raises(InternalExhaustion, match="no bowtie realization"):
-        realize_with_bowtie(seq)
-    # every deletion child rejected, by the rules or as not graphic: the
-    # full search runs out
     with monkeypatch.context() as m:
-        m.setattr(realizer_module, "_erdos_gallai_ok", lambda terms: False)
-        with pytest.raises(InternalExhaustion, match="no accepted deletion"):
+        m.setattr(realizer_module, "_complete", lambda terms, bowtie, inner: None)
+        with pytest.raises(InternalExhaustion, match="no bowtie placement"):
             realize_with_bowtie(seq)
-    rejected = check_potentially(parse_sequence("3^6"))
-    monkeypatch.setattr(realizer_module, "_rule_report", lambda child: rejected)
-    with pytest.raises(InternalExhaustion, match="no accepted deletion"):
+    # every outside residual refuted: the real search tries each placement
+    # that survives the picks, then runs out
+    refuted = []
+
+    def refute(demands):
+        refuted.append(demands)
+        return False
+
+    monkeypatch.setattr(realizer_module, "_erdos_gallai_ok", refute)
+    with pytest.raises(InternalExhaustion, match="no bowtie placement"):
         realize_with_bowtie(seq)
+    assert 0 < len(refuted) <= len(list(_placements(seq.terms)))
+
+
+def test_placements_take_each_choice_of_degrees_once():
+    # centre 5; wings 3,2^3 or 2^4; three pairings; 16 cross-edge subsets
+    placements = list(_placements(parse_sequence("5,3,2^9").terms))
+    assert len(placements) == 2 * 3 * 16
+    star = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)]
+    assert placements[0] == ([0, 1, 2, 3, 4], star + [(1, 3), (1, 4), (2, 3), (2, 4)])
+    assert placements[15] == ([0, 1, 2, 3, 4], star)
+    # at most four wings per value, the centre's class one short: 4^6 has
+    # one choice of degrees, 4^5,3^2 has three
+    assert len(list(_placements(parse_sequence("4^6").terms))) == 48
+    assert len(list(_placements(parse_sequence("4^5,3^2").terms))) == 3 * 48
+    for bowtie, edges in placements:
+        assert len(set(bowtie)) == 5 and 6 <= len(set(edges)) <= 10
+        assert {v for edge in edges for v in edge} == set(bowtie)
 
 
 # ------------------------------------------------------------------- reattach
@@ -248,20 +261,6 @@ def test_realize_rejects_non_members():
             realize_with_bowtie(parse_sequence(text))
 
 
-def test_realize_small_sequences_use_the_first_oracle_witness():
-    realized = 0
-    for n in range(5, 9):
-        for seq in enumerate_graphic_sequences(n):
-            if not check_potentially(seq).potentially:
-                continue
-            expected = next(
-                g for g in enumerate_realizations(seq) if contains_bowtie(g) is not None
-            )
-            assert realize_with_bowtie(seq) == expected, seq
-            realized += 1
-    assert realized == 6 + 41 + 199 + 808
-
-
 def test_realize_every_accepted_sequence_up_to_six_vertices():
     realized = 0
     for n in (5, 6):
@@ -277,7 +276,7 @@ def test_realize_every_accepted_sequence_up_to_six_vertices():
 
 def test_realize_steps_past_a_rejected_lay_off_child():
     # the lay-off child of (4, 2^10) loses its degree-4 vertex, and that of
-    # the tail shape at n = 60 is rejected too: another deletion must serve
+    # the tail shape at n = 60 is rejected too; the placement never needs it
     for seq in (parse_sequence("4,2^10"), family_sequence(pat(FamilyId.C3_TAIL, 60))):
         assert not check_potentially(lay_off(seq).child).potentially
         graph = realize_with_bowtie(seq)
@@ -304,87 +303,3 @@ def test_realize_handles_large_members_of_every_family():
         graph = realize_with_bowtie(seq)
         assert degree_sequence(graph) == seq
         assert contains_bowtie(graph) is not None
-
-
-# ------------------------------------------------------------------ deletions
-
-
-def test_deletions_start_with_the_lay_off_and_never_touch_the_removed_vertex():
-    for text in ("4,2^10", "5,3,2^9", "6,4,3^3,2^5,1^2", "7,5,2^32", "3^12"):
-        seq = parse_sequence(text)
-        pairs = list(_deletions(seq))
-        trace = lay_off(seq)
-        assert pairs[0] == (trace.child, trace.decremented_degrees)
-        for child, neighbours in pairs:
-            # remove one vertex of degree len(neighbours), then decrement one
-            # distinct other vertex of each degree d + 1 to d
-            rest = Counter(seq.terms)
-            rest.subtract([len(neighbours)] + [d + 1 for d in neighbours])
-            assert min(rest.values()) >= 0, (seq, neighbours)
-            rest.update(d for d in neighbours if d > 0)
-            assert +rest == Counter(child.terms), (seq, neighbours)
-        assert len(set(pairs)) == len(pairs)  # no pattern comes twice
-
-
-def brute_deletion_order(seq: DegreeSequence) -> list[tuple[DegreeSequence, tuple[int, ...]]]:
-    """The deletion order written out: degree classes from the smallest value
-    up; in each, every way to spread the removed degree over the classes
-    (the removed vertex's own class one short), decreasing lexicographically."""
-    runs = sorted(Counter(seq.terms).items(), reverse=True)
-    order = []
-    for k in reversed(range(len(runs))):
-        free = [size - (j == k) for j, (_, size) in enumerate(runs)]
-        removed = runs[k][0]
-        for counts in product(*(range(f, -1, -1) for f in free)):
-            if sum(counts) != removed:
-                continue
-            child: list[int] = []
-            neighbours: list[int] = []
-            for (value, _), f, c in zip(runs, free, counts):
-                child += [value] * (f - c) + [value - 1] * c
-                neighbours += [value - 1] * c
-            order.append((DegreeSequence(d for d in child if d > 0), tuple(neighbours)))
-    return order
-
-
-def test_deletion_order_is_pinned_by_brute_force():
-    sizes = []
-    for text in ("4,2^10", "5,3,2^9", "6,4,3^3,2^5,1^2", "4^2,3^4,2^3,1^2"):
-        seq = parse_sequence(text)
-        expected = brute_deletion_order(seq)
-        assert list(_deletions(seq)) == expected, text
-        sizes.append(len(expected))
-    assert sizes == [3, 8, 84, 52]
-
-
-def test_deletions_never_ask_more_neighbours_than_there_are():
-    # a vertex of degree d with fewer than d other vertices has no deletion
-    # (only a non-graphic sequence has such a vertex)
-    assert list(_deletions(parse_sequence("3^2"))) == []
-    assert list(_deletions(parse_sequence("5,1^3"))) == [
-        (parse_sequence("4,1^2"), (4,)),
-        (parse_sequence("5,1"), (0,)),
-    ]
-
-
-def test_deletions_reach_every_child_of_every_realization():
-    # Brute force: delete each vertex of each labelled realization and
-    # record the degree sequence left.  The graphic children of the
-    # deletion order must be exactly these, so its full search is complete.
-    checked = 0
-    for n in range(6, 9):
-        for seq in enumerate_graphic_sequences(n):
-            if not check_potentially(seq).potentially:
-                continue
-            terms = seq.terms
-            deletions = set()  # (vertex, neighbour bitmask) over all realizations
-            for adj in _realizations(terms):
-                deletions.update(enumerate(adj))
-            brute = set()
-            for v, around in deletions:
-                rest = [terms[u] - (around >> u & 1) for u in range(n) if u != v]
-                brute.add(DegreeSequence(d for d in rest if d > 0))
-            generated = {child for child, _ in _deletions(seq) if _erdos_gallai_ok(child.terms)}
-            assert generated == brute, seq
-            checked += 1
-    assert checked == 41 + 199 + 808
