@@ -19,12 +19,14 @@ Exit codes: 0 success (accepted / realized / verified / thresholds agree);
 1 rejected sequence; 2 usage or input error; 3 falsification alarm,
 meaning the decision rules and the exhaustive ground truth disagreed or an
 internal construction failed validation — a bug in the library, never a
-property of the input.
+property of the input; 141 (128 + SIGPIPE) when the reader of stdout went
+away before the output was written, as in ``bowtieseq verify 8 | true``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .characterize import CheckReport, Failure, check_potentially, sigma_closed_form
@@ -257,7 +259,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # nobody reads stdout any more: point it at devnull so the flush at
+        # interpreter exit has nowhere to fail (the signal module docs' recipe),
+        # and exit as a shell reports a process that SIGPIPE ended (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

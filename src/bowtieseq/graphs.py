@@ -218,9 +218,9 @@ def _erdos_gallai_ok(residual: Iterable[int]) -> bool:
     degrees ends (Tripathi & Vijay, Discrete Math. 2003), so only those k
     are tested, and the tail sum is skipped where prefix <= k(k-1) holds
     on its own.  The answer is the one the full set of inequalities gives.
-    This is the graphicality proof of the walk's prune, of the oracle, of
-    the verify module's enumerator and of the realizer's bowtie placement
-    alike.
+    This is the graphicality proof of the walk's prune, of the oracle and
+    of the verify module's enumerator alike; the realizer needs none, since
+    its Havel–Hakimi completion decides the outside as it builds it.
     """
     degs = sorted(residual, reverse=True)
     degs.append(0)  # sentinel: closes the last run and bounds the positives
@@ -308,14 +308,6 @@ def _realizations(terms: tuple[int, ...]) -> Iterator[list[int]]:
             return
 
 
-def _first_bowtie_adjacency(terms: tuple[int, ...]) -> list[int] | None:
-    """A copy of the first adjacency of the walk that holds a bowtie, or None."""
-    for adj in _realizations(terms):
-        if _least_bowtie(adj) is not None:
-            return adj.copy()
-    return None
-
-
 def enumerate_realizations(seq: DegreeSequence) -> Iterator[SimpleGraph]:
     """Yield every labelled realization of the sequence, deterministically.
 
@@ -350,7 +342,10 @@ def oracle_has_bowtie_realization(seq: DegreeSequence) -> bool:
     # Bowtie facts, not the paper's rules: a degree-4 centre, five degrees >= 2.
     if len(terms) < 5 or terms[0] < 4 or terms[4] < 2:
         return False
-    return _first_bowtie_adjacency(terms) is not None
+    for adj in _realizations(terms):
+        if _least_bowtie(adj) is not None:
+            return True
+    return False
 
 
 def _witness_header(witness: BowtieWitness) -> str:

@@ -3,9 +3,12 @@
 ``realize_with_bowtie`` places the bowtie first: a centre c joined to wings
 a, b, d, e, with the wing edges ab and de and some of the cross edges ad,
 ae, bd and be.  For each placement up to equal degrees (``_placements``),
-each bowtie vertex in turn is joined to the outside vertices of largest
-remaining demand; the first placement whose outside demands pass the
-Erdős–Gallai test is completed by Havel–Hakimi on the outside vertices.
+one greedy step on one max-heap of the outside demands does the rest: it
+joins a vertex to the outside vertices of largest remaining demand, the
+lowest index first among equals.  Each bowtie vertex takes that step in
+turn; then the outside vertex of largest demand takes it until no demand is
+left, which is Havel–Hakimi and decides the outside exactly.  The first
+placement that completes is the realization.
 
 This is exact, by the switching argument of ``tests/_placement.py``.  If a
 realization holds the placement and joins a bowtie vertex v to an outside
@@ -14,7 +17,7 @@ neighbour z, not x, that x lacks, and trading vx, yz for vy, xz keeps every
 degree and every bowtie edge.  So v may take the largest demands (the
 lay-off of Kleitman & Wang 1973, kept outside the bowtie), and after the
 fifth bowtie vertex what is left is a graph on the outside vertices alone,
-which Erdős–Gallai decides exactly.
+which Havel–Hakimi builds if it exists.
 
 The result must have exactly the input degrees and a bowtie.  A failed
 validation, or an accepted sequence with no placement, raises
@@ -31,15 +34,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, groupby
 
 from .characterize import check_potentially
-from .graphs import (
-    SimpleGraph,
-    TraceMismatch,
-    ZeroDegreeVertex,
-    _erdos_gallai_ok,
-    attach_by_degrees,
-    contains_bowtie,
-    degree_sequence,
-)
+from .graphs import SimpleGraph, TraceMismatch, attach_by_degrees, contains_bowtie
 from .sequences import DegreeSequence, LayoffTrace
 
 
@@ -175,15 +170,6 @@ def construct_family(pattern: FamilyPattern) -> SimpleGraph:
     return realize_with_bowtie(family_sequence(pattern))
 
 
-def _realizes_with_bowtie(graph: SimpleGraph, expected: DegreeSequence) -> bool:
-    """Post-validation: right degrees (no isolated vertices) and a bowtie."""
-    try:
-        actual = degree_sequence(graph)
-    except ZeroDegreeVertex:
-        return False
-    return actual == expected and contains_bowtie(graph) is not None
-
-
 def reattach(graph: SimpleGraph, trace: LayoffTrace) -> SimpleGraph:
     """Invert one lay-off step on a concrete realization.
 
@@ -235,9 +221,10 @@ def _complete(
 ) -> SimpleGraph | None:
     """A realization that holds one bowtie placement, or None if there is none.
 
-    Each bowtie vertex in turn is joined to the outside vertices of largest
-    remaining demand; once Erdős–Gallai proves the outside demands graphic,
-    Havel–Hakimi on a max-heap realizes them.
+    ``join(u, need)`` joins u to the ``need`` outside vertices of largest
+    remaining demand, the lowest index first among equals, and fails if
+    fewer than ``need`` have demand left.  Each bowtie vertex joins in turn,
+    then the outside vertex of largest demand, until none has any.
     """
     demand = list(terms)
     for u, v in inner:
@@ -245,26 +232,25 @@ def _complete(
         demand[v] -= 1
     if min(demand[v] for v in bowtie) < 0:
         return None
-    outside = [v for v in range(len(terms)) if v not in bowtie]
-    edges = list(inner)
-    for v in bowtie:
-        outside.sort(key=lambda u: -demand[u])  # stable: ties stay in vertex order
-        picks = outside[: demand[v]]
-        if len(picks) != demand[v] or not all(demand[u] for u in picks):
-            return None
-        for u in picks:
-            demand[u] -= 1
-            edges.append((v, u))
-    if not _erdos_gallai_ok(demand[u] for u in outside):
-        return None
-    heap = [(-demand[u], u) for u in outside if demand[u]]
+    heap = [(-demand[v], v) for v in range(len(terms)) if v not in bowtie]
     heapify(heap)
-    while heap:
-        need, u = heappop(heap)
-        for left, v in [heappop(heap) for _ in range(-need)]:
+    edges = list(inner)
+
+    def join(u: int, need: int) -> bool:
+        if need > len(heap):
+            return False
+        for left, v in [heappop(heap) for _ in range(need)]:
             edges.append((u, v))
             if left < -1:
                 heappush(heap, (left + 1, v))
+        return True
+
+    if not all(join(v, demand[v]) for v in bowtie):
+        return None
+    while heap:
+        need, u = heappop(heap)
+        if not join(u, -need):
+            return None
     return SimpleGraph(len(terms), edges)
 
 
@@ -285,6 +271,7 @@ def realize_with_bowtie(seq: DegreeSequence) -> SimpleGraph:
             break
     else:
         raise InternalExhaustion(f"accepted sequence {seq} has no bowtie placement")
-    if not _realizes_with_bowtie(graph, seq):
+    # vertex i carries term i, so the degrees must match label for label
+    if graph.degrees() != list(seq.terms) or contains_bowtie(graph) is None:
         raise InternalExhaustion(f"realization of {seq} failed final validation")
     return graph

@@ -9,8 +9,7 @@ produces it.
 
 The lay-off operation removes the smallest term d and decrements the d
 largest remaining terms.  It preserves graphicality in both directions,
-which makes repeated lay-off a complete graphicality test and, run in
-reverse, a constructive realization procedure (see the graphs module).
+which makes repeated lay-off a complete graphicality test.
 """
 
 from __future__ import annotations

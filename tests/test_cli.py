@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import time
@@ -322,6 +323,23 @@ def test_installed_console_script_runs():
     )
     assert proc.returncode == 0
     assert "potentially: yes" in proc.stdout
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    for argv in (("verify", "5"), ("realize", "4,2^4", "--output", "edges")):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader: the child's first write fails
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bowtieseq.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141, argv
+        assert proc.stderr == "", argv
 
 
 def test_parse_error_line_stays_short_for_a_huge_text(capsys):

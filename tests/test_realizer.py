@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import bowtieseq.realizer as realizer_module
+from realize_sweep import certificate_problem
 from bowtieseq import (
     DegreeSequence,
     InternalExhaustion,
@@ -179,23 +180,31 @@ def test_failed_construction_raises_the_alarm(monkeypatch):
 
 
 def test_an_accepted_sequence_with_no_way_down_raises_the_alarm(monkeypatch):
+    # every completion refuted: the search tries each placement, then runs out
     seq = parse_sequence("5,3,2^9")
-    with monkeypatch.context() as m:
-        m.setattr(realizer_module, "_complete", lambda terms, bowtie, inner: None)
-        with pytest.raises(InternalExhaustion, match="no bowtie placement"):
-            realize_with_bowtie(seq)
-    # every outside residual refuted: the real search tries each placement
-    # that survives the picks, then runs out
-    refuted = []
+    complete = realizer_module._complete
+    completions = []
 
-    def refute(demands):
-        refuted.append(demands)
-        return False
+    def refute(terms, bowtie, inner):
+        completions.append(complete(terms, bowtie, inner))
+        return None
 
-    monkeypatch.setattr(realizer_module, "_erdos_gallai_ok", refute)
+    monkeypatch.setattr(realizer_module, "_complete", refute)
     with pytest.raises(InternalExhaustion, match="no bowtie placement"):
         realize_with_bowtie(seq)
-    assert 0 < len(refuted) <= len(list(_placements(seq.terms)))
+    assert len(completions) == len(list(_placements(seq.terms)))
+    assert any(graph is not None for graph in completions)
+
+
+def test_a_placement_whose_outside_runs_short_is_skipped():
+    # the first placement of 10^2,4^5,2^4 (all four cross edges) passes the
+    # picks of its five bowtie vertices, but leaves the outside demands 2,2,
+    # which Havel–Hakimi cannot join; a later placement completes
+    seq = parse_sequence("10^2,4^5,2^4")
+    bowtie, inner = next(_placements(seq.terms))
+    assert len(inner) == 10
+    assert realizer_module._complete(seq.terms, bowtie, inner) is None
+    assert certificate_problem(realize_with_bowtie(seq), seq) is None
 
 
 def test_placements_take_each_choice_of_degrees_once():
