@@ -21,6 +21,8 @@ meaning the decision rules and the exhaustive ground truth disagreed or an
 internal construction failed validation — a bug in the library, never a
 property of the input; 141 (128 + SIGPIPE) when the reader of stdout went
 away before the output was written, as in ``bowtieseq verify 8 | true``.
+A reader of stderr that went away loses the message but not the exit code:
+``bowtieseq check 4,x 2>&1 | true`` still exits 2.
 """
 
 from __future__ import annotations
@@ -41,6 +43,15 @@ EXIT_USAGE = 2
 EXIT_FALSIFIED = 3
 
 _CLI_VERIFY_MAX = ENUMERATION_LIMIT
+
+
+def _warn(line: str) -> None:
+    """Write one line to stderr; if nobody reads it, drop it and carry on."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        # as main does for stdout: leave the exit-time flush nothing to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
 
 
 def _yn(flag: bool) -> str:
@@ -106,7 +117,7 @@ def _cmd_realize(args: argparse.Namespace) -> int:
     try:
         graph = realize_with_bowtie(seq)
     except NotPotentially as exc:
-        print(f"cannot realize: {exc}", file=sys.stderr)
+        _warn(f"cannot realize: {exc}")
         return EXIT_REJECTED
     witness = contains_bowtie(graph)
     assert witness is not None  # realize_with_bowtie validates this
@@ -177,11 +188,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print("\n".join(lines))
     if not summary.ok:
         for mismatch in summary.mismatches:
-            print(
+            _warn(
                 f"mismatch: {format_sequence(mismatch.sequence)}"
                 f" checker={_yn(mismatch.checker_verdict)}"
-                f" oracle={_yn(mismatch.oracle_verdict)}",
-                file=sys.stderr,
+                f" oracle={_yn(mismatch.oracle_verdict)}"
             )
         return EXIT_FALSIFIED
     return EXIT_OK
@@ -269,10 +279,10 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}")
         return EXIT_USAGE
     except (CharacterizationMismatch, InternalExhaustion) as exc:
-        print(f"falsification alarm: {exc}", file=sys.stderr)
+        _warn(f"falsification alarm: {exc}")
         return EXIT_FALSIFIED
 
 

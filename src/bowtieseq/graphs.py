@@ -5,9 +5,11 @@ the step that adds one vertex by its neighbours' degrees (a lay-off run in
 reverse), an exhaustive enumerator of labelled realizations for small
 sequences, and the brute-force oracle built on it.  The oracle is
 deliberately independent of the rule-based decision procedure in the
-characterize module so the two can cross-validate each other; its only
-shortcut is the bowtie's own degree demand (a vertex of degree >= 4 and
-five of degree >= 2).
+characterize module so the two can cross-validate each other.  It answers
+"no" without a walk only when the bowtie's own degree demand fails (a
+vertex of degree >= 4 and five of degree >= 2); a "yes" is certified by
+one greedy realization that holds a bowtie, and every other "no" by the
+exhaustive walk.
 
 A bowtie is two triangles sharing one vertex: a centre c with four distinct
 neighbours a, b, d, e such that ab and de are edges.  Equivalently it is the
@@ -327,21 +329,56 @@ def enumerate_realizations(seq: DegreeSequence) -> Iterator[SimpleGraph]:
         )
 
 
+def _greedy_realization(terms: tuple[int, ...]) -> list[int] | None:
+    """One realization of ``terms`` as a bitmask adjacency, or None.
+
+    Vertices go in index order; each joins as many later vertices as it
+    still needs, those of largest residual demand first and the lowest
+    index among equals.  This lays off every vertex in turn in the manner
+    of Kleitman & Wang (1973), so it fails, returning None, only when the
+    terms are not graphic: some vertex finds too few later vertices with
+    demand left.
+    """
+    n = len(terms)
+    residual = list(terms)
+    adj = [0] * n
+    for u in range(n):
+        need = residual[u]
+        if not need:
+            continue
+        # sorted is stable under reverse, so equal demands keep index order
+        picks = sorted(range(u + 1, n), key=residual.__getitem__, reverse=True)[:need]
+        if len(picks) < need or not residual[picks[-1]]:
+            return None
+        for v in picks:
+            residual[v] -= 1
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
 def oracle_has_bowtie_realization(seq: DegreeSequence) -> bool:
     """Brute-force ground truth: does any realization contain a bowtie?
 
-    Walks the same exhaustive enumeration as ``enumerate_realizations``,
-    testing each bitmask adjacency for a bowtie, and stops at the first
-    witness.  Sequences that cannot carry a bowtie by degrees alone are
-    answered without the walk.  Usable only within the enumeration limit;
-    the characterize module's rules are validated against this oracle, so
-    it uses none of them.
+    One greedy realization comes first: it proves the input graphic (the
+    Erdős–Gallai test runs only when it fails), and a bowtie in it is a
+    concrete certificate for "yes".  Sequences that cannot carry a bowtie
+    by degrees alone are answered "no" without a walk.  Every other "no"
+    comes from walking the same exhaustive enumeration as
+    ``enumerate_realizations``, testing each bitmask adjacency for a bowtie
+    and stopping at the first witness.  Usable only within the enumeration
+    limit; the characterize module's rules are validated against this
+    oracle, so it uses none of them.
     """
-    _check_enumerable(seq)
     terms = seq.terms
+    greedy = _greedy_realization(terms) if len(terms) <= ENUMERATION_LIMIT else None
+    if greedy is None:
+        _check_enumerable(seq)  # TooLarge, or NotGraphic if Erdős–Gallai fails too
     # Bowtie facts, not the paper's rules: a degree-4 centre, five degrees >= 2.
     if len(terms) < 5 or terms[0] < 4 or terms[4] < 2:
         return False
+    if greedy is not None and _least_bowtie(greedy) is not None:
+        return True
     for adj in _realizations(terms):
         if _least_bowtie(adj) is not None:
             return True

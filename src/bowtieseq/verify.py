@@ -9,16 +9,19 @@ accepted.  Each sweep enumerates the sequences of its length once.
 
 Graphicality is proved by the Erdős–Gallai test of the graphs module: the
 enumerator keeps only the candidates that pass it, the rules then run on
-them without a second proof (``characterize._rule_report``), and the
-oracle's entry guard uses the same cheap test.  The lay-off test
-``sequences.is_graphic``, which ``check_potentially`` runs before the
-rules, is not on this path, so the test suite checks it on its own.
+them without a second proof (``characterize._rule_report``).  The
+oracle's entry guard builds one greedy realization, which proves the
+input graphic, and falls back on the same test only when that fails.
+The lay-off test ``sequences.is_graphic``, which ``check_potentially``
+runs before the rules, is not on this path, so the test suite checks it
+on its own.
 
 Feasible for n up to the enumeration limit (10).  The oracle settles the
 sequences that fail the bowtie's degree demand (rules 1 and 2: no vertex of
-degree >= 4, or fewer than five of degree >= 2) without a walk; rules 3..6
-and every accepted sequence are decided by visiting labelled realizations.
-The acceptance suite runs n = 5..10.
+degree >= 4, or fewer than five of degree >= 2) without a walk.  Past that
+gate a "yes" is certified by one greedy realization that holds a bowtie
+(most accepted sequences), and a "no" (rules 3..6) by visiting every
+labelled realization.  The acceptance suite runs n = 5..10.
 """
 
 from __future__ import annotations

@@ -342,6 +342,42 @@ def test_a_closed_stdout_exits_141_without_a_traceback():
         assert proc.stderr == "", argv
 
 
+_ALARM = (
+    "import bowtieseq.cli as cli\n"
+    "from bowtieseq.verify import CharacterizationMismatch\n"
+    "def boom(n):\n"
+    "    raise CharacterizationMismatch('decision procedure and oracle disagree')\n"
+    "cli.sigma_empirical = boom\n"
+    "raise SystemExit(cli.main(['sigma', '5']))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("-m", "bowtieseq.cli", "check", "4,x"), 2),
+        (("-m", "bowtieseq.cli", "realize", "4,2^5"), 1),
+        (("-c", _ALARM), 3),
+    ],
+    ids=["parse-error", "rejected", "alarm"],
+)
+def test_a_closed_stderr_keeps_the_exit_code(argv, code):
+    # as in `bowtieseq check 4,x 2>&1 | true`: the message is lost, the code is not
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *argv],
+            stdout=subprocess.PIPE,
+            stderr=write_end,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code, argv
+    assert proc.stdout == "", argv
+
+
 def test_parse_error_line_stays_short_for_a_huge_text(capsys):
     code, out, err = run_cli(capsys, "check", "1," * 500000 + "x")
     assert code == 2

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 
 import pytest
@@ -35,6 +35,8 @@ from bowtieseq.graphs import (
     TooLarge,
     TraceMismatch,
     _erdos_gallai_ok,
+    _greedy_realization,
+    _least_bowtie,
     attach_by_degrees,
     enumerate_realizations,
     oracle_has_bowtie_realization,
@@ -334,21 +336,33 @@ def test_oracle_matches_brute_force_over_all_small_sequences():
             assert oracle_has_bowtie_realization(DegreeSequence(terms)) == expected, terms
 
 
-def test_oracle_agrees_with_the_public_enumeration_and_detector():
+_public_verdicts: list[tuple[DegreeSequence, bool]] = []
+
+
+def _assert_oracle_agrees_with_the_public_route():
     # the oracle walks bitmask adjacencies; the public route builds a graph
-    # per realization and runs contains_bowtie on it
-    checked = 0
-    for n in range(5, 9):
-        for terms in nonincreasing_positive_sequences(n, n - 1):
-            if not erdos_gallai_graphic(list(terms)):
-                continue
-            seq = DegreeSequence(terms)
-            expected = any(
-                contains_bowtie(g) is not None for g in enumerate_realizations(seq)
-            )
-            assert oracle_has_bowtie_realization(seq) == expected, terms
-            checked += 1
-    assert checked == 1202
+    # per realization and runs contains_bowtie on it (computed once, shared)
+    if not _public_verdicts:
+        for n in range(5, 9):
+            for terms in nonincreasing_positive_sequences(n, n - 1):
+                if erdos_gallai_graphic(list(terms)):
+                    seq = DegreeSequence(terms)
+                    realizations = enumerate_realizations(seq)
+                    expected = any(contains_bowtie(g) is not None for g in realizations)
+                    _public_verdicts.append((seq, expected))
+    assert len(_public_verdicts) == 1202
+    for seq, expected in _public_verdicts:
+        assert oracle_has_bowtie_realization(seq) == expected, seq
+
+
+def test_oracle_agrees_with_the_public_enumeration_and_detector():
+    _assert_oracle_agrees_with_the_public_route()
+
+
+def test_the_walk_alone_still_decides_every_sequence(monkeypatch):
+    # without the greedy certificate every "yes" must come from the walk too
+    monkeypatch.setattr(graphs_module, "_greedy_realization", lambda terms: None)
+    _assert_oracle_agrees_with_the_public_route()
 
 
 class _Walked(Exception):
@@ -366,14 +380,48 @@ def test_oracle_degree_gate_answers_without_walking(monkeypatch, text):
     assert oracle_has_bowtie_realization(parse_sequence(text)) is False
 
 
-@pytest.mark.parametrize(
-    "text", ["4,2^4", "4,3^2,2^2", "4^2,2^4", "4^2,2^3", "4,2^5", "4,2^6"]
-)
+def _realizes(adj, terms):
+    """Whether the bitmask adjacency is a simple graph with these degrees."""
+    n = len(terms)
+    if adj is None or len(adj) != n:
+        return False
+    loop_free = all(not adj[u] >> u & 1 for u in range(n))
+    symmetric = all(
+        adj[u] >> v & 1 == adj[v] >> u & 1 for u in range(n) for v in range(u)
+    )
+    return loop_free and symmetric and [row.bit_count() for row in adj] == list(terms)
+
+
+@pytest.mark.parametrize("text", ["4^2,2^4", "4^2,2^3", "4,2^5", "4,2^6"])
 def test_oracle_walks_every_sequence_past_the_gate(monkeypatch, text):
-    # accepted sequences and rules 3..6 are still settled by the walk
+    # rules 3..6: every "no" past the degree gate comes from the walk
     monkeypatch.setattr(graphs_module, "_realizations", _walk_forbidden)
     with pytest.raises(_Walked):
         oracle_has_bowtie_realization(parse_sequence(text))
+
+
+@pytest.mark.parametrize("text", ["4,2^4", "4,3^2,2^2"])
+def test_oracle_says_yes_from_the_greedy_realization(monkeypatch, text):
+    # the greedy realization holds a bowtie: a certificate, no walk needed
+    monkeypatch.setattr(graphs_module, "_realizations", _walk_forbidden)
+    seq = parse_sequence(text)
+    assert oracle_has_bowtie_realization(seq) is True
+    adj = _greedy_realization(seq.terms)
+    assert _realizes(adj, seq.terms)
+    assert _least_bowtie(adj) is not None
+
+
+def test_greedy_realization_exists_exactly_for_graphic_candidates():
+    # the verify enumerator's candidates: every nonincreasing positive tuple
+    graphic = 0
+    for n in range(1, 9):
+        for terms in combinations_with_replacement(range(n - 1, 0, -1), n):
+            adj = _greedy_realization(terms)
+            assert (adj is not None) == _erdos_gallai_ok(terms), terms
+            if adj is not None:
+                assert _realizes(adj, terms), terms
+                graphic += 1
+    assert graphic == 10 + 1202  # n = 2..4, then the verify sweep's n = 5..8
 
 
 @pytest.mark.parametrize("text", ["4^4,2", "3^2,1^2"])
@@ -389,6 +437,7 @@ def test_oracle_size_guard_comes_before_any_graphicality_work(monkeypatch):
         raise AssertionError("graphicality tested before the size guard")
 
     monkeypatch.setattr(graphs_module, "_erdos_gallai_ok", forbidden)
+    monkeypatch.setattr(graphs_module, "_greedy_realization", forbidden)
     for terms in ([2] * (ENUMERATION_LIMIT + 1), [3] * (ENUMERATION_LIMIT + 1)):
         with pytest.raises(TooLarge):
             oracle_has_bowtie_realization(DegreeSequence(terms))
