@@ -28,6 +28,7 @@ A reader of stderr that went away loses the message but not the exit code:
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -224,6 +225,7 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
     return EXIT_OK if agree else EXIT_FALSIFIED
 
 
+@functools.cache  # one parser per process: main may run many times in one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bowtieseq",
@@ -266,8 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()

@@ -1,14 +1,15 @@
 """Constructive realizations containing a bowtie, for accepted sequences.
 
 ``realize_with_bowtie`` places the bowtie first: a centre c joined to wings
-a, b, d, e, with the wing edges ab and de and some of the cross edges ad,
-ae, bd and be.  For each placement up to equal degrees (``_placements``),
-one greedy step on one max-heap of the outside demands does the rest: it
-joins a vertex to the outside vertices of largest remaining demand, the
-lowest index first among equals.  Each bowtie vertex takes that step in
-turn; then the outside vertex of largest demand takes it until no demand is
-left, which is Havel–Hakimi and decides the outside exactly.  The first
-placement that completes is the realization.
+a, b, d, e, with the wing edges ab and de and those of the cross edges ad,
+ae, bd and be that the wing degrees allow (a wing of degree t holds at most
+t - 2).  For each placement up to equal degrees (``_placements``), one
+greedy step on one max-heap of the outside demands does the rest: it joins
+a vertex to the outside vertices of largest remaining demand, the lowest
+index first among equals.  Each bowtie vertex takes that step in turn; then
+the outside vertex of largest demand takes it until no demand is left,
+which is Havel–Hakimi and decides the outside exactly.  The first placement
+that completes is the realization.
 
 This is exact, by the switching argument of ``tests/_placement.py``.  If a
 realization holds the placement and joins a bowtie vertex v to an outside
@@ -19,8 +20,16 @@ lay-off of Kleitman & Wang 1973, kept outside the bowtie), and after the
 fifth bowtie vertex what is left is a graph on the outside vertices alone,
 which Havel–Hakimi builds if it exists.
 
-The result must have exactly the input degrees and a bowtie.  A failed
-validation, or an accepted sequence with no placement, raises
+The search comes before the decision.  A completed placement is a
+realization, so it proves the sequence graphic, and only the rules
+(``characterize._rule_report``) run on it; the quadratic lay-off test
+behind ``check_potentially`` runs only once a placement fails to complete,
+to tell a rejected sequence (NotPotentially) from one that a later
+placement realizes.
+
+The result must have exactly the input degrees and the placed bowtie's six
+edges.  A failed validation, rules that reject a sequence just realized
+with a bowtie, or an accepted sequence with no placement raises
 InternalExhaustion: the characterization itself has been falsified, so the
 alarm must never be swallowed.
 """
@@ -31,10 +40,11 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
+from functools import cache
 from itertools import combinations, groupby
 
-from .characterize import check_potentially
-from .graphs import SimpleGraph, TraceMismatch, attach_by_degrees, contains_bowtie
+from .characterize import _rule_report, check_potentially
+from .graphs import SimpleGraph, TraceMismatch, attach_by_degrees
 from .sequences import DegreeSequence, LayoffTrace
 
 
@@ -186,11 +196,25 @@ def reattach(graph: SimpleGraph, trace: LayoffTrace) -> SimpleGraph:
     return attach_by_degrees(graph, trace.decremented_degrees)
 
 
+@cache
+def _cross_subsets(room: tuple[int, ...]) -> tuple[int, ...]:
+    """The subsets of the cross edges ad, ae, bd and be, as bits 0..3 of a
+    mask from all four down, that leave wings a, b, d and e at most room[i]
+    cross edges each.  Wing a's cross edges are the bits of 3, b's of 12,
+    d's of 5 and e's of 10."""
+    return tuple(
+        mask
+        for mask in range(15, -1, -1)
+        if all(bin(mask & bits).count("1") <= r for bits, r in zip((3, 12, 5, 10), room))
+    )
+
+
 def _placements(terms: tuple[int, ...]) -> Iterator[tuple[list[int], list[tuple[int, int]]]]:
-    """Every bowtie placement up to equal degrees, as (vertices c, a, b, d, e;
-    edges): each centre value >= 4 and multiset of four wing values >= 2,
-    from the largest values down, each of the three wing pairings, and each
-    subset of the cross edges, from all four down.  Vertex i has degree
+    """Every bowtie placement up to equal degrees that the degrees allow, as
+    (vertices c, a, b, d, e; edges): each centre value >= 4 and multiset of
+    four wing values >= 2, from the largest values down, each of the three
+    wing pairings, and each subset of the cross edges, from all four down,
+    that leaves a wing of degree t at most t - 2 of them.  Vertex i has degree
     terms[i], and a value goes on the lowest free vertices of its class."""
     first: dict[int, int] = {}  # each value's lowest vertex, largest value first
     for v, value in enumerate(terms):
@@ -212,7 +236,9 @@ def _placements(terms: tuple[int, ...]) -> Iterator[tuple[list[int], list[tuple[
             for a, b, d, e in ((w, x, y, z), (w, y, x, z), (w, z, x, y)):
                 star = [(c, a), (c, b), (c, d), (c, e), (a, b), (d, e)]
                 cross = ((a, d), (a, e), (b, d), (b, e))
-                for mask in range(15, -1, -1):
+                # no wing takes more than two cross edges, so 3^4 rooms at most
+                room = tuple(min(terms[v] - 2, 2) for v in (a, b, d, e))
+                for mask in _cross_subsets(room):
                     yield [c, w, x, y, z], star + [cross[j] for j in range(4) if mask >> j & 1]
 
 
@@ -230,8 +256,6 @@ def _complete(
     for u, v in inner:
         demand[u] -= 1
         demand[v] -= 1
-    if min(demand[v] for v in bowtie) < 0:
-        return None
     heap = [(-demand[v], v) for v in range(len(terms)) if v not in bowtie]
     heapify(heap)
     edges = list(inner)
@@ -254,24 +278,45 @@ def _complete(
     return SimpleGraph(len(terms), edges)
 
 
-def realize_with_bowtie(seq: DegreeSequence) -> SimpleGraph:
-    """Construct a realization of an accepted sequence containing a bowtie.
-
-    Raises NotPotentially for rejected sequences.  For accepted input the
-    construction always succeeds; InternalExhaustion would mean the
-    decision procedure itself is wrong.
-    """
+def _reject_unless_potentially(seq: DegreeSequence) -> None:
+    """Raise NotPotentially, naming the failure, if the rules reject seq."""
     report = check_potentially(seq)
     if not report.potentially:
         detail = report.failure.value if report.failure is not None else "rejected"
         raise NotPotentially(f"{seq} is not potentially bowtie-graphic ({detail})")
-    for placement in _placements(seq.terms):
-        graph = _complete(seq.terms, *placement)
+
+
+def realize_with_bowtie(seq: DegreeSequence) -> SimpleGraph:
+    """Construct a realization of an accepted sequence containing a bowtie.
+
+    Certificate first: the placements are tried before any decision.  A
+    completed placement proves the sequence graphic, so only the rules
+    (``_rule_report``) run on it, not the quadratic lay-off test.
+    ``check_potentially`` runs once a placement fails to complete (or if
+    there is none); if it rejects, NotPotentially names the failure, and
+    otherwise the search goes on.  For accepted input the construction always succeeds.
+    InternalExhaustion means the library itself is wrong: the rules reject
+    a sequence just realized with a bowtie, an accepted sequence has no
+    placement, or the graph fails its final validation.
+    """
+    checked = False
+    for bowtie, inner in _placements(seq.terms):
+        graph = _complete(seq.terms, bowtie, inner)
         if graph is not None:
             break
+        if not checked:
+            _reject_unless_potentially(seq)
+            checked = True
     else:
+        if not checked:
+            _reject_unless_potentially(seq)
         raise InternalExhaustion(f"accepted sequence {seq} has no bowtie placement")
-    # vertex i carries term i, so the degrees must match label for label
-    if graph.degrees() != list(seq.terms) or contains_bowtie(graph) is None:
+    # vertex i carries term i, so the degrees must match label for label, and
+    # the placed bowtie's six edges (the first six of inner) must be present
+    if graph.degrees() != list(seq.terms) or not all(
+        graph.has_edge(u, v) for u, v in inner[:6]
+    ):
         raise InternalExhaustion(f"realization of {seq} failed final validation")
+    if not _rule_report(seq).potentially:
+        raise InternalExhaustion(f"the rules reject {seq}, realized with a bowtie")
     return graph

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+import bowtieseq.characterize as characterize
 import bowtieseq.cli as cli
 import bowtieseq.realizer as realizer
 from _brute import brute_contains_bowtie, nonincreasing_positive_sequences
@@ -23,6 +24,7 @@ from bowtieseq import (
     Failure,
     SimpleGraph,
     check_potentially,
+    format_sequence,
     is_graphic,
     parse_sequence,
     realize_with_bowtie,
@@ -320,6 +322,25 @@ def test_realizer_builds_random_planted_bowtie_sequences():
     )
 
 
+def test_realize_at_scale_skips_the_quadratic_graphicality_test(monkeypatch):
+    # a completed placement proves the sequence graphic, so an accepted
+    # sequence whose first placement completes never reaches the repeated
+    # lay-off test behind check_potentially (quadratic: seconds at this n)
+    def no_lay_off_test(seq):
+        raise AssertionError("realize_with_bowtie ran is_graphic")
+
+    monkeypatch.setattr(characterize, "is_graphic", no_lay_off_test)
+    started = time.monotonic()
+    planted = DegreeSequence(planted_bowtie_graph(random.Random(20000), 20_000).degrees())
+    for seq in (parse_sequence("4^20000"), planted):
+        problem = certificate_problem(realize_with_bowtie(seq), seq)
+        assert problem is None, f"realization of {format_sequence(seq)[:80]}: {problem}"
+    print(
+        f"PASS: realized 4^20000 and a planted sequence of 20000 terms with no "
+        f"graphicality test ({time.monotonic() - started:.1f}s)"
+    )
+
+
 def test_laying_off_preserves_graphicality():
     checked = 0
     for n in range(2, 8):
@@ -363,8 +384,6 @@ def test_the_six_accepted_sequences_on_five_vertices():
 
 
 def test_round_trips_and_byte_identical_cli_runs(capsys):
-    from bowtieseq import format_sequence
-
     rng = random.Random(314159)
     for _ in range(1000):
         terms = [rng.randint(1, 50) for _ in range(rng.randint(1, 30))]

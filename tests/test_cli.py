@@ -315,6 +315,33 @@ def test_every_command_is_byte_deterministic(capsys):
 # ------------------------------------------------------------- console script
 
 
+def test_one_process_answers_as_separate_processes_do(capsys):
+    # main builds its parser once per process: a usage error in between
+    # must leave the next run's output as a fresh process would write it
+    runs = [
+        ["check", "4,2^4"],
+        ["verify", "5"],
+        ["check", "--output", "nope", "4,2^4"],
+        ["check", "4,2^4"],
+    ]
+    codes = []
+    for argv in runs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse exits on a usage error
+            code = exc.code
+        captured = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "bowtieseq.cli", *argv], capture_output=True, text=True
+        )
+        assert (code, captured.out, captured.err) == (
+            proc.returncode, proc.stdout, proc.stderr
+        ), argv
+        codes.append(code)
+    assert codes == [0, 0, 2, 0]
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_installed_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "bowtieseq.cli", "check", "4,2^4"],

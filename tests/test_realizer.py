@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import re
+from itertools import combinations
+
 import pytest
 
 import bowtieseq.realizer as realizer_module
+from _brute import nonincreasing_positive_sequences
 from realize_sweep import certificate_problem
 from bowtieseq import (
+    CheckReport,
     DegreeSequence,
+    Failure,
     InternalExhaustion,
     NotPotentially,
     SimpleGraph,
@@ -17,7 +23,7 @@ from bowtieseq import (
     parse_sequence,
     realize_with_bowtie,
 )
-from bowtieseq.graphs import TraceMismatch
+from bowtieseq.graphs import TraceMismatch, enumerate_realizations
 from bowtieseq.realizer import (
     BadParams,
     FamilyId,
@@ -208,19 +214,82 @@ def test_a_placement_whose_outside_runs_short_is_skipped():
 
 
 def test_placements_take_each_choice_of_degrees_once():
-    # centre 5; wings 3,2^3 or 2^4; three pairings; 16 cross-edge subsets
+    # centre 5; wings 3,2^3 or 2^4; three pairings; no cross edge, since a
+    # wing of degree 2 has no room for one and each cross edge of the
+    # degree-3 wing would end at a degree-2 wing: 2 * 3 * 1
     placements = list(_placements(parse_sequence("5,3,2^9").terms))
-    assert len(placements) == 2 * 3 * 16
+    assert len(placements) == 2 * 3 * 1
     star = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)]
-    assert placements[0] == ([0, 1, 2, 3, 4], star + [(1, 3), (1, 4), (2, 3), (2, 4)])
-    assert placements[15] == ([0, 1, 2, 3, 4], star)
+    assert placements[0] == ([0, 1, 2, 3, 4], star)
     # at most four wings per value, the centre's class one short: 4^6 has
-    # one choice of degrees, 4^5,3^2 has three
-    assert len(list(_placements(parse_sequence("4^6").terms))) == 48
-    assert len(list(_placements(parse_sequence("4^5,3^2").terms))) == 3 * 48
+    # one choice of degrees, three pairings and all 16 cross-edge subsets.
+    # A wing of degree 3 takes at most one cross edge, so 4^5,3^2 adds wings
+    # 4^3,3 (three pairings, 16 - 4 subsets each) and 4^2,3^2: the 3s paired
+    # (3 * 3 subsets), or apart as a and d in two pairings (ad alone or any
+    # of ae, bd; each with or without be: (1 + 4) * 2)
+    assert len(list(_placements(parse_sequence("4^6").terms))) == 3 * 16
+    assert len(list(_placements(parse_sequence("4^5,3^2").terms))) == (
+        3 * 16 + 3 * 12 + (3 * 3 + 2 * (1 + 4) * 2)
+    )
     for bowtie, edges in placements:
-        assert len(set(bowtie)) == 5 and 6 <= len(set(edges)) <= 10
+        assert len(set(bowtie)) == 5 and len(set(edges)) == 6
         assert {v for edge in edges for v in edge} == set(bowtie)
+
+
+def all_cross_edge_placements(terms: tuple[int, ...]):
+    """The placements with every subset of the cross edges, degrees aside:
+    the reference the degree filter of ``_placements`` is checked against."""
+    first: dict[int, int] = {}
+    for v, value in enumerate(terms):
+        first.setdefault(value, v)
+    for centre in [value for value in first if value >= 4]:
+        c = first[centre]
+        pool = [
+            v
+            for v, value in enumerate(terms)
+            if value >= 2 and v != c and v - first[value] < 4 + (value == centre)
+        ]
+        placed: set[tuple[int, ...]] = set()
+        for w, x, y, z in combinations(pool, 4):
+            values = (terms[w], terms[x], terms[y], terms[z])
+            if values in placed:
+                continue
+            placed.add(values)
+            for a, b, d, e in ((w, x, y, z), (w, y, x, z), (w, z, x, y)):
+                star = [(c, a), (c, b), (c, d), (c, e), (a, b), (d, e)]
+                cross = ((a, d), (a, e), (b, d), (b, e))
+                for mask in range(15, -1, -1):
+                    yield [c, w, x, y, z], star + [cross[j] for j in range(4) if mask >> j & 1]
+
+
+def leaves_no_negative_demand(terms, bowtie, edges) -> bool:
+    """The test ``_complete`` made before the degree filter: no bowtie vertex
+    has more bowtie edges than its degree."""
+    demand = list(terms)
+    for u, v in edges:
+        demand[u] -= 1
+        demand[v] -= 1
+    return min(demand[v] for v in bowtie) >= 0
+
+
+def test_placements_are_exactly_those_that_leave_no_negative_demand():
+    # the filter moved out of _complete: a placement whose bowtie edges
+    # exceed a vertex's degree is the only kind the degrees now rule out.
+    # n = 9 (3069 sequences, 5 million reference placements) takes half a
+    # minute and passes too; n <= 8 keeps the suite quick
+    checked = 0
+    for n in range(5, 9):
+        for seq in enumerate_graphic_sequences(n):
+            if not check_potentially(seq).potentially:
+                continue
+            terms = seq.terms
+            assert list(_placements(terms)) == [
+                placement
+                for placement in all_cross_edge_placements(terms)
+                if leaves_no_negative_demand(terms, *placement)
+            ], seq
+            checked += 1
+    assert checked == 6 + 41 + 199 + 808
 
 
 # ------------------------------------------------------------------- reattach
@@ -265,9 +334,48 @@ def test_reattach_refuses_a_graph_of_the_wrong_degrees():
 
 
 def test_realize_rejects_non_members():
-    for text in ("4,2^5", "2^3", "3,1,1", "4^2,2^4", "3^6", "4,1^4"):
-        with pytest.raises(NotPotentially):
-            realize_with_bowtie(parse_sequence(text))
+    # every candidate with n <= 8 and terms <= n + 1, graphic or not: the
+    # realizer decides only once a placement fails, and must then name the
+    # failure check_potentially names
+    rejected = set()
+    for n in range(1, 9):
+        for terms in nonincreasing_positive_sequences(n, n + 1):
+            seq = DegreeSequence(terms)
+            report = check_potentially(seq)
+            if report.potentially:
+                assert certificate_problem(realize_with_bowtie(seq), seq) is None, seq
+                continue
+            with pytest.raises(NotPotentially, match=re.escape(f"({report.failure.value})")):
+                realize_with_bowtie(seq)
+            rejected.add(seq)
+    for text in ("4,2^5", "4,2^6", "2^3", "3,1,1", "4^2,2^4", "3^6", "4,1^4", "5,1^4"):
+        assert parse_sequence(text) in rejected, text
+
+
+def test_rules_that_reject_a_realized_sequence_raise_the_alarm(monkeypatch):
+    # a completed placement shows the sequence has a bowtie realization, so
+    # rules that reject it would be falsified
+    rejecting = CheckReport(graphic=True, potentially=False, failure=Failure.COND3)
+    monkeypatch.setattr(realizer_module, "_rule_report", lambda seq: rejecting)
+    with pytest.raises(InternalExhaustion, match="rules reject"):
+        realize_with_bowtie(parse_sequence("5,3,2^9"))
+
+
+def test_a_realization_without_the_placed_bowtie_fails_final_validation(monkeypatch):
+    # the input degrees, label for label, and a bowtie, but not the placed
+    # one: the validation tests the placed bowtie's six edges
+    seq = parse_sequence("4,2^8")
+    _, inner = next(_placements(seq.terms))
+    elsewhere = next(
+        graph
+        for graph in enumerate_realizations(seq)
+        if contains_bowtie(graph) is not None
+        and not all(graph.has_edge(*edge) for edge in inner[:6])
+    )
+    assert elsewhere.degrees() == list(seq.terms)
+    monkeypatch.setattr(realizer_module, "_complete", lambda terms, bowtie, inner: elsewhere)
+    with pytest.raises(InternalExhaustion, match="final validation"):
+        realize_with_bowtie(seq)
 
 
 def test_realize_every_accepted_sequence_up_to_six_vertices():
