@@ -2,14 +2,14 @@
 
 Provides the graph value type, degree extraction, bowtie-subgraph detection,
 the step that adds one vertex by its neighbours' degrees (a lay-off run in
-reverse), an exhaustive enumerator of labelled realizations for small
-sequences, and the brute-force oracle built on it.  The oracle is
-deliberately independent of the rule-based decision procedure in the
-characterize module so the two can cross-validate each other.  It answers
-"no" without a walk only when the bowtie's own degree demand fails (a
-vertex of degree >= 4 and five of degree >= 2); a "yes" is certified by
-one greedy realization that holds a bowtie, and every other "no" by the
-exhaustive walk.
+reverse), the exact bowtie placement search and the oracle built on it.
+The oracle is deliberately independent of the rule-based decision procedure
+in the characterize module so the two can cross-validate each other.  A
+"yes" is certified by one greedy realization that holds a bowtie, or else
+by a bowtie placement that completes; a "no" means no placement completes.
+The realizer builds its realizations with the same search.  The exhaustive
+enumerator of labelled realizations for small sequences is on no library
+path: it is the reference the search is tested against.
 
 A bowtie is two triangles sharing one vertex: a centre c with four distinct
 neighbours a, b, d, e such that ab and de are edges.  Equivalently it is the
@@ -20,6 +20,8 @@ isomorphism by brute force).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -220,9 +222,10 @@ def _erdos_gallai_ok(residual: Iterable[int]) -> bool:
     degrees ends (Tripathi & Vijay, Discrete Math. 2003), so only those k
     are tested, and the tail sum is skipped where prefix <= k(k-1) holds
     on its own.  The answer is the one the full set of inequalities gives.
-    This is the graphicality proof of the walk's prune, of the oracle and
-    of the verify module's enumerator alike; the realizer needs none, since
-    its Havel–Hakimi completion decides the outside as it builds it.
+    This is the graphicality proof of the walk's prune, of the oracle's
+    guard and of the verify module's enumerator alike; the placement search
+    needs none, since its Havel–Hakimi completion decides the outside as it
+    builds it.
     """
     degs = sorted(residual, reverse=True)
     degs.append(0)  # sentinel: closes the last run and bounds the positives
@@ -253,19 +256,26 @@ def _check_enumerable(seq: DegreeSequence) -> None:
         raise NotGraphic(f"{seq} is not graphic")
 
 
-def _realizations(terms: tuple[int, ...]) -> Iterator[list[int]]:
-    """Walk every labelled realization of ``terms`` depth first.
+def enumerate_realizations(seq: DegreeSequence) -> Iterator[SimpleGraph]:
+    """Yield every labelled realization of the sequence, deterministically.
 
+    Vertex i carries the i-th term of the (nonincreasing) sequence.
     Vertex u, in increasing order, picks its neighbours among the higher
     vertices that still have demand, as combinations in lexicographic
     order; a pick is kept only if the remaining demands pass the exact
-    Erdős–Gallai prune.  The walk keeps one frame per vertex on an explicit
-    stack and updates ``residual`` and the bitmask adjacency ``adj`` (bit v
-    of adj[u] is the edge uv) in place.  Each realization is yielded as that
-    same live ``adj`` list, so a caller must read it before resuming.
+    Erdős–Gallai prune.  So the stream is duplicate-free, exhaustive, and
+    identical between runs.  The walk keeps one frame per vertex on an
+    explicit stack and updates ``residual`` and the bitmask adjacency
+    ``adj`` (bit v of adj[u] is the edge uv) in place.  It is exponential,
+    so no library path runs it: the tests compare the placement search
+    against it.
+
+    Raises TooLarge beyond ENUMERATION_LIMIT vertices and NotGraphic for
+    sequences with no realization.
     """
-    n = len(terms)
-    residual = list(terms)
+    _check_enumerable(seq)
+    n = len(seq)
+    residual = list(seq.terms)
     adj = [0] * n
     # frame: [vertex, its demand, its remaining picks, its current pick]
     stack: list[list] = []
@@ -274,7 +284,9 @@ def _realizations(terms: tuple[int, ...]) -> Iterator[list[int]]:
         while u < n and residual[u] == 0:
             u += 1
         if u == n:
-            yield adj
+            yield SimpleGraph(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1]
+            )
         else:
             need = residual[u]
             residual[u] = 0
@@ -310,25 +322,6 @@ def _realizations(terms: tuple[int, ...]) -> Iterator[list[int]]:
             return
 
 
-def enumerate_realizations(seq: DegreeSequence) -> Iterator[SimpleGraph]:
-    """Yield every labelled realization of the sequence, deterministically.
-
-    Vertex i carries the i-th term of the (nonincreasing) sequence.
-    Vertices choose their higher-indexed neighbour sets in lexicographic
-    order, with an exact feasibility prune on the remaining demands, so the
-    stream is duplicate-free, exhaustive, and identical between runs.
-
-    Raises TooLarge beyond ENUMERATION_LIMIT vertices and NotGraphic for
-    sequences with no realization.
-    """
-    _check_enumerable(seq)
-    n = len(seq)
-    for adj in _realizations(seq.terms):
-        yield SimpleGraph(
-            n, [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1]
-        )
-
-
 def _greedy_realization(terms: tuple[int, ...]) -> list[int] | None:
     """One realization of ``terms`` as a bitmask adjacency, or None.
 
@@ -357,32 +350,120 @@ def _greedy_realization(terms: tuple[int, ...]) -> list[int] | None:
     return adj
 
 
+@cache
+def _cross_subsets(room: tuple[int, ...]) -> tuple[int, ...]:
+    """The subsets of the cross edges ad, ae, bd and be, as bits 0..3 of a
+    mask from all four down, that leave wings a, b, d and e at most room[i]
+    cross edges each.  Wing a's cross edges are the bits of 3, b's of 12,
+    d's of 5 and e's of 10."""
+    return tuple(
+        mask
+        for mask in range(15, -1, -1)
+        if all(bin(mask & bits).count("1") <= r for bits, r in zip((3, 12, 5, 10), room))
+    )
+
+
+def _placements(terms: tuple[int, ...]) -> Iterator[tuple[list[int], list[tuple[int, int]]]]:
+    """Every bowtie placement up to equal degrees that the degrees allow, as
+    (vertices c, a, b, d, e; edges): each centre value >= 4 and multiset of
+    four wing values >= 2, from the largest values down, each of the three
+    wing pairings, and each subset of the cross edges, from all four down,
+    that leaves a wing of degree t at most t - 2 of them.  Vertex i has degree
+    terms[i], and a value goes on the lowest free vertices of its class.
+    Without a vertex of degree >= 4 and four more of degree >= 2 there is
+    none."""
+    first: dict[int, int] = {}  # each value's lowest vertex, largest value first
+    for v, value in enumerate(terms):
+        first.setdefault(value, v)
+    for centre in [value for value in first if value >= 4]:
+        c = first[centre]
+        # the wing candidates: the lowest four vertices of each class but c
+        pool = [
+            v
+            for v, value in enumerate(terms)
+            if value >= 2 and v != c and v - first[value] < 4 + (value == centre)
+        ]
+        placed: set[tuple[int, ...]] = set()  # the wing values placed so far
+        for w, x, y, z in combinations(pool, 4):
+            values = (terms[w], terms[x], terms[y], terms[z])
+            if values in placed:
+                continue
+            placed.add(values)
+            for a, b, d, e in ((w, x, y, z), (w, y, x, z), (w, z, x, y)):
+                star = [(c, a), (c, b), (c, d), (c, e), (a, b), (d, e)]
+                cross = ((a, d), (a, e), (b, d), (b, e))
+                # no wing takes more than two cross edges, so 3^4 rooms at most
+                room = tuple(min(terms[v] - 2, 2) for v in (a, b, d, e))
+                for mask in _cross_subsets(room):
+                    yield [c, w, x, y, z], star + [cross[j] for j in range(4) if mask >> j & 1]
+
+
+def _complete(
+    terms: tuple[int, ...], bowtie: list[int], inner: list[tuple[int, int]]
+) -> SimpleGraph | None:
+    """A realization that holds one bowtie placement, or None if there is none.
+
+    ``join(u, need)`` joins u to the ``need`` outside vertices of largest
+    remaining demand, the lowest index first among equals, and fails if
+    fewer than ``need`` have demand left.  Each bowtie vertex joins in turn,
+    then the outside vertex of largest demand, until none has any.
+
+    This is exact, by a switching argument.  If a realization holds the
+    placement and joins a bowtie vertex v to an outside vertex x but not to
+    an outside y of larger remaining demand, then y has a neighbour z, not
+    x, that x lacks, and trading vx, yz for vy, xz keeps every degree and
+    every bowtie edge.  So v may take the largest demands (the lay-off of
+    Kleitman & Wang 1973, kept outside the bowtie), and after the fifth
+    bowtie vertex what is left is a graph on the outside vertices alone,
+    which Havel–Hakimi builds if it exists.  A bowtie in any realization is
+    one of the ``_placements`` after relabelling equal degrees, so a graphic
+    sequence has a realization with a bowtie exactly when some placement
+    completes.
+    """
+    demand = list(terms)
+    for u, v in inner:
+        demand[u] -= 1
+        demand[v] -= 1
+    heap = [(-demand[v], v) for v in range(len(terms)) if v not in bowtie]
+    heapify(heap)
+    edges = list(inner)
+
+    def join(u: int, need: int) -> bool:
+        if need > len(heap):
+            return False
+        for left, v in [heappop(heap) for _ in range(need)]:
+            edges.append((u, v))
+            if left < -1:
+                heappush(heap, (left + 1, v))
+        return True
+
+    if not all(join(v, demand[v]) for v in bowtie):
+        return None
+    while heap:
+        need, u = heappop(heap)
+        if not join(u, -need):
+            return None
+    return SimpleGraph(len(terms), edges)
+
+
 def oracle_has_bowtie_realization(seq: DegreeSequence) -> bool:
-    """Brute-force ground truth: does any realization contain a bowtie?
+    """Rules-free ground truth: does any realization contain a bowtie?
 
     One greedy realization comes first: it proves the input graphic (the
     Erdős–Gallai test runs only when it fails), and a bowtie in it is a
-    concrete certificate for "yes".  Sequences that cannot carry a bowtie
-    by degrees alone are answered "no" without a walk.  Every other "no"
-    comes from walking the same exhaustive enumeration as
-    ``enumerate_realizations``, testing each bitmask adjacency for a bowtie
-    and stopping at the first witness.  Usable only within the enumeration
-    limit; the characterize module's rules are validated against this
-    oracle, so it uses none of them.
+    concrete certificate for "yes".  Otherwise the placement search
+    decides, exactly by the switching argument of ``_complete``: "yes"
+    when some placement completes to a realization, "no" when none does.
+    Usable only within the enumeration limit; the characterize module's
+    rules are validated against this oracle, so it uses none of them.
     """
     terms = seq.terms
     greedy = _greedy_realization(terms) if len(terms) <= ENUMERATION_LIMIT else None
     if greedy is None:
         _check_enumerable(seq)  # TooLarge, or NotGraphic if Erdős–Gallai fails too
-    # Bowtie facts, not the paper's rules: a degree-4 centre, five degrees >= 2.
-    if len(terms) < 5 or terms[0] < 4 or terms[4] < 2:
-        return False
     if greedy is not None and _least_bowtie(greedy) is not None:
         return True
-    for adj in _realizations(terms):
-        if _least_bowtie(adj) is not None:
-            return True
-    return False
+    return any(_complete(terms, bowtie, inner) is not None for bowtie, inner in _placements(terms))
 
 
 def _witness_header(witness: BowtieWitness) -> str:

@@ -2,23 +2,13 @@
 
 ``realize_with_bowtie`` places the bowtie first: a centre c joined to wings
 a, b, d, e, with the wing edges ab and de and those of the cross edges ad,
-ae, bd and be that the wing degrees allow (a wing of degree t holds at most
-t - 2).  For each placement up to equal degrees (``_placements``), one
-greedy step on one max-heap of the outside demands does the rest: it joins
-a vertex to the outside vertices of largest remaining demand, the lowest
-index first among equals.  Each bowtie vertex takes that step in turn; then
-the outside vertex of largest demand takes it until no demand is left,
-which is Havel–Hakimi and decides the outside exactly.  The first placement
-that completes is the realization.
-
-This is exact, by the switching argument of ``tests/_placement.py``.  If a
-realization holds the placement and joins a bowtie vertex v to an outside
-vertex x but not to an outside y of larger remaining demand, then y has a
-neighbour z, not x, that x lacks, and trading vx, yz for vy, xz keeps every
-degree and every bowtie edge.  So v may take the largest demands (the
-lay-off of Kleitman & Wang 1973, kept outside the bowtie), and after the
-fifth bowtie vertex what is left is a graph on the outside vertices alone,
-which Havel–Hakimi builds if it exists.
+ae, bd and be that the wing degrees allow.  The placements and their
+completion are the rules-free search of the graphs module
+(``graphs._placements``, ``graphs._complete``), which the oracle also
+decides with: each bowtie vertex in turn joins the outside vertices of
+largest remaining demand, then Havel–Hakimi completes the outside.  The
+first placement that completes is the realization; the switching argument
+that makes the search exact is in ``graphs._complete``.
 
 The search comes before the decision.  A completed placement is a
 realization, so it proves the sequence graphic, and only the rules
@@ -36,16 +26,13 @@ alarm must never be swallowed.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heapify, heappop, heappush
-from functools import cache
-from itertools import combinations, groupby
+from itertools import groupby
 
 from .characterize import _rule_report, check_potentially
-from .graphs import SimpleGraph, TraceMismatch, attach_by_degrees
-from .sequences import DegreeSequence, LayoffTrace
+from .graphs import SimpleGraph, TraceMismatch, _complete, _placements, attach_by_degrees
+from .sequences import DegreeSequence, LayoffTrace, _quote, format_sequence
 
 
 class BadParams(ValueError):
@@ -196,94 +183,14 @@ def reattach(graph: SimpleGraph, trace: LayoffTrace) -> SimpleGraph:
     return attach_by_degrees(graph, trace.decremented_degrees)
 
 
-@cache
-def _cross_subsets(room: tuple[int, ...]) -> tuple[int, ...]:
-    """The subsets of the cross edges ad, ae, bd and be, as bits 0..3 of a
-    mask from all four down, that leave wings a, b, d and e at most room[i]
-    cross edges each.  Wing a's cross edges are the bits of 3, b's of 12,
-    d's of 5 and e's of 10."""
-    return tuple(
-        mask
-        for mask in range(15, -1, -1)
-        if all(bin(mask & bits).count("1") <= r for bits, r in zip((3, 12, 5, 10), room))
-    )
-
-
-def _placements(terms: tuple[int, ...]) -> Iterator[tuple[list[int], list[tuple[int, int]]]]:
-    """Every bowtie placement up to equal degrees that the degrees allow, as
-    (vertices c, a, b, d, e; edges): each centre value >= 4 and multiset of
-    four wing values >= 2, from the largest values down, each of the three
-    wing pairings, and each subset of the cross edges, from all four down,
-    that leaves a wing of degree t at most t - 2 of them.  Vertex i has degree
-    terms[i], and a value goes on the lowest free vertices of its class."""
-    first: dict[int, int] = {}  # each value's lowest vertex, largest value first
-    for v, value in enumerate(terms):
-        first.setdefault(value, v)
-    for centre in [value for value in first if value >= 4]:
-        c = first[centre]
-        # the wing candidates: the lowest four vertices of each class but c
-        pool = [
-            v
-            for v, value in enumerate(terms)
-            if value >= 2 and v != c and v - first[value] < 4 + (value == centre)
-        ]
-        placed: set[tuple[int, ...]] = set()  # the wing values placed so far
-        for w, x, y, z in combinations(pool, 4):
-            values = (terms[w], terms[x], terms[y], terms[z])
-            if values in placed:
-                continue
-            placed.add(values)
-            for a, b, d, e in ((w, x, y, z), (w, y, x, z), (w, z, x, y)):
-                star = [(c, a), (c, b), (c, d), (c, e), (a, b), (d, e)]
-                cross = ((a, d), (a, e), (b, d), (b, e))
-                # no wing takes more than two cross edges, so 3^4 rooms at most
-                room = tuple(min(terms[v] - 2, 2) for v in (a, b, d, e))
-                for mask in _cross_subsets(room):
-                    yield [c, w, x, y, z], star + [cross[j] for j in range(4) if mask >> j & 1]
-
-
-def _complete(
-    terms: tuple[int, ...], bowtie: list[int], inner: list[tuple[int, int]]
-) -> SimpleGraph | None:
-    """A realization that holds one bowtie placement, or None if there is none.
-
-    ``join(u, need)`` joins u to the ``need`` outside vertices of largest
-    remaining demand, the lowest index first among equals, and fails if
-    fewer than ``need`` have demand left.  Each bowtie vertex joins in turn,
-    then the outside vertex of largest demand, until none has any.
-    """
-    demand = list(terms)
-    for u, v in inner:
-        demand[u] -= 1
-        demand[v] -= 1
-    heap = [(-demand[v], v) for v in range(len(terms)) if v not in bowtie]
-    heapify(heap)
-    edges = list(inner)
-
-    def join(u: int, need: int) -> bool:
-        if need > len(heap):
-            return False
-        for left, v in [heappop(heap) for _ in range(need)]:
-            edges.append((u, v))
-            if left < -1:
-                heappush(heap, (left + 1, v))
-        return True
-
-    if not all(join(v, demand[v]) for v in bowtie):
-        return None
-    while heap:
-        need, u = heappop(heap)
-        if not join(u, -need):
-            return None
-    return SimpleGraph(len(terms), edges)
-
-
 def _reject_unless_potentially(seq: DegreeSequence) -> None:
     """Raise NotPotentially, naming the failure, if the rules reject seq."""
     report = check_potentially(seq)
     if not report.potentially:
         detail = report.failure.value if report.failure is not None else "rejected"
-        raise NotPotentially(f"{seq} is not potentially bowtie-graphic ({detail})")
+        raise NotPotentially(
+            f"{_quote(format_sequence(seq))} is not potentially bowtie-graphic ({detail})"
+        )
 
 
 def realize_with_bowtie(seq: DegreeSequence) -> SimpleGraph:

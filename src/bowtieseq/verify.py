@@ -16,12 +16,13 @@ The lay-off test ``sequences.is_graphic``, which ``check_potentially``
 runs before the rules, is not on this path, so the test suite checks it
 on its own.
 
-Feasible for n up to the enumeration limit (10).  The oracle settles the
-sequences that fail the bowtie's degree demand (rules 1 and 2: no vertex of
-degree >= 4, or fewer than five of degree >= 2) without a walk.  Past that
-gate a "yes" is certified by one greedy realization that holds a bowtie
-(most accepted sequences), and a "no" (rules 3..6) by visiting every
-labelled realization.  The acceptance suite runs n = 5..10.
+Feasible for n up to the enumeration limit (10).  The oracle certifies a
+"yes" by one greedy realization that holds a bowtie (most accepted
+sequences), or else by a bowtie placement that completes; a "no" means the
+rules-free placement search of the graphs module found no placement that
+completes (none at all for rules 1 and 2).  No labelled realization is
+enumerated: that exhaustive walk is only the tests' reference.  The
+acceptance suite runs n = 5..10.
 """
 
 from __future__ import annotations

@@ -8,8 +8,10 @@ verification report.
 
 from __future__ import annotations
 
+import ast
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ from bowtieseq import (
     Failure,
     SimpleGraph,
     check_potentially,
+    contains_bowtie,
     format_sequence,
     is_graphic,
     parse_sequence,
@@ -32,7 +35,7 @@ from bowtieseq import (
     sigma_closed_form,
 )
 from bowtieseq.characterize import sigma_witness
-from bowtieseq.graphs import oracle_has_bowtie_realization
+from bowtieseq.graphs import enumerate_realizations
 from bowtieseq.realizer import FamilyId, FamilyPattern, family_sequence
 from bowtieseq.sequences import lay_off
 from bowtieseq.verify import (
@@ -40,6 +43,8 @@ from bowtieseq.verify import (
     sigma_empirical,
     verify_characterization,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "bowtieseq"
 
 
 def all_family_patterns(max_n: int) -> list[FamilyPattern]:
@@ -95,27 +100,54 @@ def test_decision_rules_match_the_exhaustive_oracle():
     assert tested == {5: 20, 6: 71, 7: 240, 8: 871, 9: 3148, 10: 11655}
     assert elapsed < 300
     print(
-        f"PASS: decision rules agree with the brute-force oracle on every "
+        f"PASS: decision rules agree with the rules-free oracle on every "
         f"graphic sequence of length 5..10 ({sum(tested.values())} sequences, "
         f"{accepted} accepted, 0 mismatches, {elapsed:.1f}s)"
     )
 
 
-def test_placement_reference_matches_the_exhaustive_oracle():
+def test_placement_reference_matches_the_exhaustive_walk():
     started = time.monotonic()
     tested = accepted = 0
     for n in range(5, 9):
         for seq in enumerate_graphic_sequences(n):
             found = has_bowtie_realization(seq.terms)
-            assert found == oracle_has_bowtie_realization(seq), seq
+            walked = any(contains_bowtie(g) is not None for g in enumerate_realizations(seq))
+            assert found == walked, seq
             tested += 1
             accepted += found
     assert tested == 1202
     print(
         f"PASS: the bowtie placement reference agrees with the exhaustive "
-        f"oracle on every graphic sequence of length 5..8 ({tested} sequences, "
+        f"walk on every graphic sequence of length 5..8 ({tested} sequences, "
         f"{accepted} with a bowtie, {time.monotonic() - started:.1f}s)"
     )
+
+
+def _package_imports(module: str) -> set[str]:
+    """The bowtieseq modules that src/bowtieseq/<module>.py imports."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    return {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+    }
+
+
+def test_the_oracle_stays_independent_of_the_rules():
+    # the oracle's code is graphs.py and what it imports from the package;
+    # none of it may reach the six rules or the realizer that runs them.
+    # verify.py runs the rules it checks, so it imports characterize, but it
+    # takes its "no"s from the graphs module, not from the realizer
+    oracle_modules, todo = set(), ["graphs"]
+    while todo:
+        module = todo.pop()
+        oracle_modules.add(module)
+        todo.extend(_package_imports(module) - oracle_modules)
+    assert oracle_modules.isdisjoint({"characterize", "realizer"}), oracle_modules
+    assert "realizer" not in _package_imports("verify")
+    assert "graphs" in _package_imports("verify")
+    print(f"PASS: the oracle's modules {sorted(oracle_modules)} import no rules")
 
 
 def test_rules_match_the_placement_reference_on_rule_shapes_beyond_the_sweep():

@@ -150,6 +150,15 @@ def test_realize_rejected_writes_to_stderr(capsys):
     assert "cond5" in err
 
 
+def test_realize_rejection_line_stays_short_for_a_long_sequence(capsys):
+    text = ",".join(str(d) for d in range(3000, 0, -1))
+    code, out, err = run_cli(capsys, "realize", text)
+    assert code == 1 and out == ""
+    assert err.startswith("cannot realize: '3000,2999,")
+    assert err.endswith("(not_graphic)\n")
+    assert len(err.encode()) < 300
+
+
 def test_realize_non_graphic_rejected(capsys):
     code, _, err = run_cli(capsys, "realize", "3,1")
     assert code == 1 and "not_graphic" in err

@@ -1,4 +1,4 @@
-"""Tests for the graph type, bowtie detection, and the exhaustive oracle."""
+"""Tests for the graph type, bowtie detection, the exhaustive walk and the oracle."""
 
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ from bowtieseq.graphs import (
     _erdos_gallai_ok,
     _greedy_realization,
     _least_bowtie,
+    _placements,
     attach_by_degrees,
     enumerate_realizations,
     oracle_has_bowtie_realization,
@@ -340,7 +341,7 @@ _public_verdicts: list[tuple[DegreeSequence, bool]] = []
 
 
 def _assert_oracle_agrees_with_the_public_route():
-    # the oracle walks bitmask adjacencies; the public route builds a graph
+    # the oracle searches bowtie placements; the public route builds a graph
     # per realization and runs contains_bowtie on it (computed once, shared)
     if not _public_verdicts:
         for n in range(5, 9):
@@ -359,25 +360,24 @@ def test_oracle_agrees_with_the_public_enumeration_and_detector():
     _assert_oracle_agrees_with_the_public_route()
 
 
-def test_the_walk_alone_still_decides_every_sequence(monkeypatch):
-    # without the greedy certificate every "yes" must come from the walk too
+def test_the_search_alone_decides_every_sequence(monkeypatch):
+    # without the greedy certificate every "yes" must come from the search
     monkeypatch.setattr(graphs_module, "_greedy_realization", lambda terms: None)
     _assert_oracle_agrees_with_the_public_route()
 
 
-class _Walked(Exception):
-    pass
-
-
-def _walk_forbidden(terms):
-    raise _Walked(terms)
+def _forbidden(*args):
+    raise AssertionError(f"called on {args}")
 
 
 @pytest.mark.parametrize("text", ["3^10", "4^4,1^6", "4^2,2^2,1^2", "4,2^3,1^2"])
 def test_oracle_degree_gate_answers_without_walking(monkeypatch, text):
-    # no vertex of degree >= 4, or fewer than five of degree >= 2
-    monkeypatch.setattr(graphs_module, "_realizations", _walk_forbidden)
-    assert oracle_has_bowtie_realization(parse_sequence(text)) is False
+    # no vertex of degree >= 4, or fewer than five of degree >= 2: the
+    # placement search has nothing to try, so no separate gate is needed
+    seq = parse_sequence(text)
+    assert list(_placements(seq.terms)) == []
+    monkeypatch.setattr(graphs_module, "enumerate_realizations", _forbidden)
+    assert oracle_has_bowtie_realization(seq) is False
 
 
 def _realizes(adj, terms):
@@ -394,16 +394,53 @@ def _realizes(adj, terms):
 
 @pytest.mark.parametrize("text", ["4^2,2^4", "4^2,2^3", "4,2^5", "4,2^6"])
 def test_oracle_walks_every_sequence_past_the_gate(monkeypatch, text):
-    # rules 3..6: every "no" past the degree gate comes from the walk
-    monkeypatch.setattr(graphs_module, "_realizations", _walk_forbidden)
-    with pytest.raises(_Walked):
-        oracle_has_bowtie_realization(parse_sequence(text))
+    # rules 3..6: these pass the degree gate, so each "no" comes from walking
+    # every bowtie placement and finding that none completes
+    seq = parse_sequence(text)
+    assert not any(contains_bowtie(g) is not None for g in enumerate_realizations(seq))
+    tried = []
+    original = graphs_module._complete
+
+    def complete(terms, bowtie, inner):
+        tried.append((tuple(bowtie), tuple(inner)))
+        return original(terms, bowtie, inner)
+
+    monkeypatch.setattr(graphs_module, "_complete", complete)
+    monkeypatch.setattr(graphs_module, "enumerate_realizations", _forbidden)
+    assert oracle_has_bowtie_realization(seq) is False
+    walked = [(tuple(bowtie), tuple(inner)) for bowtie, inner in _placements(seq.terms)]
+    assert walked and tried == walked
+
+
+def test_oracle_agrees_with_the_walk_without_walking(monkeypatch):
+    # reference: the degree gate, then the greedy certificate, else a bowtie
+    # in any realization the exhaustive walk visits
+    reference = []
+    for n in range(5, 11):
+        for terms in nonincreasing_positive_sequences(n, n - 1):
+            if not erdos_gallai_graphic(list(terms)):
+                continue
+            seq = DegreeSequence(terms)
+            if terms[0] < 4 or terms[4] < 2:
+                expected = False
+            elif _least_bowtie(_greedy_realization(terms)) is not None:
+                expected = True
+            else:
+                realizations = enumerate_realizations(seq)
+                expected = any(contains_bowtie(g) is not None for g in realizations)
+            reference.append((seq, expected))
+    assert len(reference) == 16005
+    # with the walk forbidden, every "no" (rules 3..6 among them) comes from
+    # the placement search
+    monkeypatch.setattr(graphs_module, "enumerate_realizations", _forbidden)
+    for seq, expected in reference:
+        assert oracle_has_bowtie_realization(seq) == expected, seq
 
 
 @pytest.mark.parametrize("text", ["4,2^4", "4,3^2,2^2"])
 def test_oracle_says_yes_from_the_greedy_realization(monkeypatch, text):
-    # the greedy realization holds a bowtie: a certificate, no walk needed
-    monkeypatch.setattr(graphs_module, "_realizations", _walk_forbidden)
+    # the greedy realization holds a bowtie: a certificate, no search needed
+    monkeypatch.setattr(graphs_module, "_placements", _forbidden)
     seq = parse_sequence(text)
     assert oracle_has_bowtie_realization(seq) is True
     adj = _greedy_realization(seq.terms)
@@ -426,8 +463,8 @@ def test_greedy_realization_exists_exactly_for_graphic_candidates():
 
 @pytest.mark.parametrize("text", ["4^4,2", "3^2,1^2"])
 def test_oracle_rejects_non_graphic_input_before_the_gate(monkeypatch, text):
-    # 4^4,2 passes the degree gate and would be walked; 3^2,1^2 would be gated
-    monkeypatch.setattr(graphs_module, "_realizations", _walk_forbidden)
+    # 4^4,2 has placements to search; 3^2,1^2 has none
+    monkeypatch.setattr(graphs_module, "_placements", _forbidden)
     with pytest.raises(NotGraphic):
         oracle_has_bowtie_realization(parse_sequence(text))
 

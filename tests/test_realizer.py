@@ -1,4 +1,4 @@
-"""Tests for the placement realizer, the lay-off inverse step and the family vocabulary."""
+"""Tests for the placement realizer and its search, the lay-off inverse step and the family vocabulary."""
 
 from __future__ import annotations
 
@@ -23,12 +23,11 @@ from bowtieseq import (
     parse_sequence,
     realize_with_bowtie,
 )
-from bowtieseq.graphs import TraceMismatch, enumerate_realizations
+from bowtieseq.graphs import TraceMismatch, _complete, _placements, enumerate_realizations
 from bowtieseq.realizer import (
     BadParams,
     FamilyId,
     FamilyPattern,
-    _placements,
     construct_family,
     family_sequence,
     match_family,
@@ -188,11 +187,10 @@ def test_failed_construction_raises_the_alarm(monkeypatch):
 def test_an_accepted_sequence_with_no_way_down_raises_the_alarm(monkeypatch):
     # every completion refuted: the search tries each placement, then runs out
     seq = parse_sequence("5,3,2^9")
-    complete = realizer_module._complete
     completions = []
 
     def refute(terms, bowtie, inner):
-        completions.append(complete(terms, bowtie, inner))
+        completions.append(_complete(terms, bowtie, inner))
         return None
 
     monkeypatch.setattr(realizer_module, "_complete", refute)
@@ -209,7 +207,7 @@ def test_a_placement_whose_outside_runs_short_is_skipped():
     seq = parse_sequence("10^2,4^5,2^4")
     bowtie, inner = next(_placements(seq.terms))
     assert len(inner) == 10
-    assert realizer_module._complete(seq.terms, bowtie, inner) is None
+    assert _complete(seq.terms, bowtie, inner) is None
     assert certificate_problem(realize_with_bowtie(seq), seq) is None
 
 
