@@ -6,9 +6,9 @@ Subcommands:
   bowtie (two triangles sharing one vertex).
 * ``realize SEQ`` — build such a realization explicitly.
 * ``verify N`` — compare the decision procedure against the brute-force
-  oracle on every graphic sequence of length N (5..10).
+  oracle on every graphic sequence of length N (5..12).
 * ``sigma N`` — recompute the extremal degree-sum threshold empirically
-  for length N (5..10) and compare it with the closed form 4N - 4.
+  for length N (5..12) and compare it with the closed form 4N - 4.
 
 Sequences use run-length text, e.g. ``4,3^2,2^2``.  ``--output structured``
 switches reports to stable ``key=value`` lines that are byte-identical
@@ -33,17 +33,15 @@ import os
 import sys
 
 from .characterize import CheckReport, Failure, check_potentially, sigma_closed_form
-from .graphs import ENUMERATION_LIMIT, contains_bowtie, dot_text, edge_list_text
+from .graphs import contains_bowtie, dot_text, edge_list_text
 from .realizer import InternalExhaustion, NotPotentially, realize_with_bowtie
 from .sequences import ParseError, format_sequence, parse_sequence, sigma
-from .verify import CharacterizationMismatch, sigma_empirical, verify_characterization
+from .verify import SWEEP_LIMIT, CharacterizationMismatch, sigma_empirical, verify_characterization
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_USAGE = 2
 EXIT_FALSIFIED = 3
-
-_CLI_VERIFY_MAX = ENUMERATION_LIMIT
 
 
 def _warn(line: str) -> None:
@@ -160,8 +158,8 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 
 
 def _check_cli_n(n: int) -> None:
-    if not 5 <= n <= _CLI_VERIFY_MAX:
-        raise ParseError(f"N must be between 5 and {_CLI_VERIFY_MAX}, got {n}")
+    if not 5 <= n <= SWEEP_LIMIT:
+        raise ParseError(f"N must be between 5 and {SWEEP_LIMIT}, got {n}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -253,14 +251,14 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify", help="exhaustively cross-check the rules against the oracle"
     )
-    verify.add_argument("n", type=int, help="sequence length, 5..10")
+    verify.add_argument("n", type=int, help=f"sequence length, 5..{SWEEP_LIMIT}")
     verify.add_argument("--output", choices=("text", "structured"), default="text")
     verify.set_defaults(handler=_cmd_verify)
 
     sigma_cmd = sub.add_parser(
         "sigma", help="recompute the extremal threshold empirically"
     )
-    sigma_cmd.add_argument("n", type=int, help="sequence length, 5..10")
+    sigma_cmd.add_argument("n", type=int, help=f"sequence length, 5..{SWEEP_LIMIT}")
     sigma_cmd.add_argument("--output", choices=("text", "structured"), default="text")
     sigma_cmd.set_defaults(handler=_cmd_sigma)
 

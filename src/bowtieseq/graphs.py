@@ -248,14 +248,6 @@ def _erdos_gallai_ok(residual: Iterable[int]) -> bool:
     return True
 
 
-def _check_enumerable(seq: DegreeSequence) -> None:
-    n = len(seq)
-    if n > ENUMERATION_LIMIT:
-        raise TooLarge(f"enumeration is limited to {ENUMERATION_LIMIT} vertices, got {n}")
-    if not _erdos_gallai_ok(seq.terms):
-        raise NotGraphic(f"{seq} is not graphic")
-
-
 def enumerate_realizations(seq: DegreeSequence) -> Iterator[SimpleGraph]:
     """Yield every labelled realization of the sequence, deterministically.
 
@@ -273,8 +265,11 @@ def enumerate_realizations(seq: DegreeSequence) -> Iterator[SimpleGraph]:
     Raises TooLarge beyond ENUMERATION_LIMIT vertices and NotGraphic for
     sequences with no realization.
     """
-    _check_enumerable(seq)
     n = len(seq)
+    if n > ENUMERATION_LIMIT:
+        raise TooLarge(f"enumeration is limited to {ENUMERATION_LIMIT} vertices, got {n}")
+    if not _erdos_gallai_ok(seq.terms):
+        raise NotGraphic(f"{seq} is not graphic")
     residual = list(seq.terms)
     adj = [0] * n
     # frame: [vertex, its demand, its remaining picks, its current pick]
@@ -400,8 +395,9 @@ def _placements(terms: tuple[int, ...]) -> Iterator[tuple[list[int], list[tuple[
 
 def _complete(
     terms: tuple[int, ...], bowtie: list[int], inner: list[tuple[int, int]]
-) -> SimpleGraph | None:
-    """A realization that holds one bowtie placement, or None if there is none.
+) -> list[tuple[int, int]] | None:
+    """The edges of a realization that holds one bowtie placement (``inner``
+    first), or None if there is none.
 
     ``join(u, need)`` joins u to the ``need`` outside vertices of largest
     remaining demand, the lowest index first among equals, and fails if
@@ -443,7 +439,7 @@ def _complete(
         need, u = heappop(heap)
         if not join(u, -need):
             return None
-    return SimpleGraph(len(terms), edges)
+    return edges
 
 
 def oracle_has_bowtie_realization(seq: DegreeSequence) -> bool:
@@ -454,14 +450,16 @@ def oracle_has_bowtie_realization(seq: DegreeSequence) -> bool:
     concrete certificate for "yes".  Otherwise the placement search
     decides, exactly by the switching argument of ``_complete``: "yes"
     when some placement completes to a realization, "no" when none does.
-    Usable only within the enumeration limit; the characterize module's
-    rules are validated against this oracle, so it uses none of them.
+    Each step is polynomial, so it answers at any length (NotGraphic if
+    there is no realization); the characterize module's rules are
+    validated against this oracle, so it uses none of them.
     """
     terms = seq.terms
-    greedy = _greedy_realization(terms) if len(terms) <= ENUMERATION_LIMIT else None
+    greedy = _greedy_realization(terms)
     if greedy is None:
-        _check_enumerable(seq)  # TooLarge, or NotGraphic if Erdős–Gallai fails too
-    if greedy is not None and _least_bowtie(greedy) is not None:
+        if not _erdos_gallai_ok(terms):
+            raise NotGraphic(f"{seq} is not graphic")
+    elif _least_bowtie(greedy) is not None:
         return True
     return any(_complete(terms, bowtie, inner) is not None for bowtie, inner in _placements(terms))
 

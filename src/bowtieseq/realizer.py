@@ -208,8 +208,8 @@ def realize_with_bowtie(seq: DegreeSequence) -> SimpleGraph:
     """
     checked = False
     for bowtie, inner in _placements(seq.terms):
-        graph = _complete(seq.terms, bowtie, inner)
-        if graph is not None:
+        edges = _complete(seq.terms, bowtie, inner)
+        if edges is not None:
             break
         if not checked:
             _reject_unless_potentially(seq)
@@ -218,6 +218,7 @@ def realize_with_bowtie(seq: DegreeSequence) -> SimpleGraph:
         if not checked:
             _reject_unless_potentially(seq)
         raise InternalExhaustion(f"accepted sequence {seq} has no bowtie placement")
+    graph = SimpleGraph(len(seq), edges)
     # vertex i carries term i, so the degrees must match label for label, and
     # the placed bowtie's six edges (the first six of inner) must be present
     if graph.degrees() != list(seq.terms) or not all(

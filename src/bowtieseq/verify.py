@@ -2,7 +2,7 @@
 
 For a fixed length n this module enumerates every graphic sequence with
 positive terms, runs the six-condition decision procedure on each, and
-compares against the brute-force oracle that enumerates realizations.
+compares against the rules-free oracle of the graphs module.
 It also recomputes the extremal degree-sum threshold empirically: the
 smallest even bound such that every graphic sequence at or above it is
 accepted.  Each sweep enumerates the sequences of its length once.
@@ -16,13 +16,14 @@ The lay-off test ``sequences.is_graphic``, which ``check_potentially``
 runs before the rules, is not on this path, so the test suite checks it
 on its own.
 
-Feasible for n up to the enumeration limit (10).  The oracle certifies a
-"yes" by one greedy realization that holds a bowtie (most accepted
-sequences), or else by a bowtie placement that completes; a "no" means the
-rules-free placement search of the graphs module found no placement that
-completes (none at all for rules 1 and 2).  No labelled realization is
-enumerated: that exhaustive walk is only the tests' reference.  The
-acceptance suite runs n = 5..10.
+The oracle certifies a "yes" by one greedy realization that holds a
+bowtie (most accepted sequences), or else by a bowtie placement that
+completes; a "no" means the rules-free placement search of the graphs
+module found no placement that completes (none at all for rules 1 and 2).
+No labelled realization is enumerated: that exhaustive walk is only the
+tests' reference.  The number of candidates grows as C(2n - 2, n), so a
+sweep is bounded by SWEEP_LIMIT (n = 12: 162 769 sequences).  The
+acceptance suite runs n = 5..11.
 """
 
 from __future__ import annotations
@@ -32,8 +33,10 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .characterize import SigmaReport, _rule_report
-from .graphs import ENUMERATION_LIMIT, _erdos_gallai_ok, oracle_has_bowtie_realization
+from .graphs import _erdos_gallai_ok, oracle_has_bowtie_realization
 from .sequences import DegreeSequence, sigma
+
+SWEEP_LIMIT = 12
 
 
 class CharacterizationMismatch(RuntimeError):
@@ -96,10 +99,8 @@ def enumerate_graphic_sequences(n: int) -> Iterator[DegreeSequence]:
 
 
 def _check_range(n: int) -> None:
-    if not 5 <= n <= ENUMERATION_LIMIT:
-        raise ValueError(
-            f"exhaustive verification needs 5 <= n <= {ENUMERATION_LIMIT}, got {n}"
-        )
+    if not 5 <= n <= SWEEP_LIMIT:
+        raise ValueError(f"exhaustive verification needs 5 <= n <= {SWEEP_LIMIT}, got {n}")
 
 
 def verify_characterization(n: int) -> VerificationSummary:

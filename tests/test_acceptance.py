@@ -35,7 +35,7 @@ from bowtieseq import (
     sigma_closed_form,
 )
 from bowtieseq.characterize import sigma_witness
-from bowtieseq.graphs import enumerate_realizations
+from bowtieseq.graphs import enumerate_realizations, oracle_has_bowtie_realization
 from bowtieseq.realizer import FamilyId, FamilyPattern, family_sequence
 from bowtieseq.sequences import lay_off
 from bowtieseq.verify import (
@@ -88,7 +88,7 @@ def test_decision_rules_match_the_exhaustive_oracle():
     started = time.monotonic()
     tested = {}
     accepted = 0
-    for n in range(5, 11):
+    for n in range(5, 12):
         summary = verify_characterization(n)
         assert summary.ok, summary.mismatches
         assert summary.mismatches == ()
@@ -97,11 +97,11 @@ def test_decision_rules_match_the_exhaustive_oracle():
     elapsed = time.monotonic() - started
     # graphic sequences of length n with positive terms: differences of
     # OEIS A004251, so a sweep that silently drops sequences fails here
-    assert tested == {5: 20, 6: 71, 7: 240, 8: 871, 9: 3148, 10: 11655}
+    assert tested == {5: 20, 6: 71, 7: 240, 8: 871, 9: 3148, 10: 11655, 11: 43332}
     assert elapsed < 300
     print(
         f"PASS: decision rules agree with the rules-free oracle on every "
-        f"graphic sequence of length 5..10 ({sum(tested.values())} sequences, "
+        f"graphic sequence of length 5..11 ({sum(tested.values())} sequences, "
         f"{accepted} accepted, 0 mismatches, {elapsed:.1f}s)"
     )
 
@@ -153,19 +153,22 @@ def test_the_oracle_stays_independent_of_the_rules():
 def test_rules_match_the_placement_reference_on_rule_shapes_beyond_the_sweep():
     # past n = 10 a graphic sequence is rejected by rules 1-2 (degrees alone)
     # or by the explicit shapes of rules 3-4: check each shape and every
-    # graphic sequence one step from one
+    # graphic sequence one step from one.  The oracle, past the walk's
+    # limit, must agree with the reference too
     started = time.monotonic()
     tested = accepted = 0
     for n in range(11, 21):
         for terms in sorted(rule_shape_neighbourhood(n)):
+            seq = DegreeSequence(terms)
             found = has_bowtie_realization(terms)
-            assert found == check_potentially(DegreeSequence(terms)).potentially, terms
+            assert found == check_potentially(seq).potentially, terms
+            assert oracle_has_bowtie_realization(seq) == found, terms
             tested += 1
             accepted += found
     assert tested == 1770
     print(
-        f"PASS: decision rules agree with the bowtie placement reference on "
-        f"every rule 3/4 shape of length 11..20 and its graphic neighbours "
+        f"PASS: decision rules and the oracle agree with the bowtie placement "
+        f"reference on every rule 3/4 shape of length 11..20 and its graphic neighbours "
         f"({tested} sequences, {accepted} accepted, 0 mismatches, "
         f"{time.monotonic() - started:.1f}s)"
     )
@@ -193,15 +196,15 @@ def test_realizer_builds_every_accepted_rule_shape_neighbour():
 
 def test_empirical_threshold_matches_the_closed_form():
     bounds = {}
-    for n in range(5, 11):
+    for n in range(5, 12):
         report = sigma_empirical(n)
         assert report.bound == sigma_closed_form(n) == 4 * n - 4
         assert sigma(report.witness) == report.bound - 2
         bounds[n] = report.bound
-    assert bounds == {5: 16, 6: 20, 7: 24, 8: 28, 9: 32, 10: 36}
+    assert bounds == {5: 16, 6: 20, 7: 24, 8: 28, 9: 32, 10: 36, 11: 40}
     print(
-        "PASS: empirically recomputed degree-sum thresholds for n=5..10 are "
-        "16, 20, 24, 28, 32, 36, matching the closed form 4n-4"
+        "PASS: empirically recomputed degree-sum thresholds for n=5..11 are "
+        "16, 20, 24, 28, 32, 36, 40, matching the closed form 4n-4"
     )
 
 

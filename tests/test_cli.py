@@ -279,10 +279,10 @@ def test_parse_errors_exit_2(capsys):
 
 
 def test_out_of_range_n_exits_2(capsys):
-    for command, n in (("verify", "4"), ("verify", "11"), ("sigma", "4"), ("sigma", "11")):
+    for command, n in (("verify", "4"), ("verify", "13"), ("sigma", "4"), ("sigma", "13")):
         code, _, err = run_cli(capsys, command, n)
         assert code == 2
-        assert "between 5 and 10" in err
+        assert "between 5 and 12" in err
 
 
 def test_huge_run_count_exits_2_without_building_the_terms(capsys):

@@ -469,15 +469,14 @@ def test_oracle_rejects_non_graphic_input_before_the_gate(monkeypatch, text):
         oracle_has_bowtie_realization(parse_sequence(text))
 
 
-def test_oracle_size_guard_comes_before_any_graphicality_work(monkeypatch):
-    def forbidden(terms):
-        raise AssertionError("graphicality tested before the size guard")
-
-    monkeypatch.setattr(graphs_module, "_erdos_gallai_ok", forbidden)
-    monkeypatch.setattr(graphs_module, "_greedy_realization", forbidden)
-    for terms in ([2] * (ENUMERATION_LIMIT + 1), [3] * (ENUMERATION_LIMIT + 1)):
-        with pytest.raises(TooLarge):
-            oracle_has_bowtie_realization(DegreeSequence(terms))
+def test_oracle_answers_beyond_the_enumeration_limit_without_walking(monkeypatch):
+    # the walk's limit bounds only the walk: at n = 30 a "yes" comes from the
+    # greedy certificate and the rule 4 and rule 3 shapes' "no"s from the
+    # placement search
+    monkeypatch.setattr(graphs_module, "enumerate_realizations", _forbidden)
+    assert oracle_has_bowtie_realization(parse_sequence("4^30")) is True
+    assert oracle_has_bowtie_realization(parse_sequence("29^2,2^28")) is False
+    assert oracle_has_bowtie_realization(parse_sequence("28^2,2^28")) is False
 
 
 # ----------------------------------------------------------------- wire formats

@@ -63,7 +63,7 @@ MODULE_ONLY = {
         "reattach",
     ],
     "sequences": ["LayoffImpossible", "LayoffTrace", "lay_off"],
-    "verify": ["enumerate_graphic_sequences"],
+    "verify": ["SWEEP_LIMIT", "enumerate_graphic_sequences"],
 }
 
 
@@ -76,7 +76,7 @@ def test_the_package_exports_the_names_of_decide_realize_and_verify():
 
 
 def test_module_level_names_stay_in_their_modules():
-    assert sum(len(names) for names in MODULE_ONLY.values()) == 21
+    assert sum(len(names) for names in MODULE_ONLY.values()) == 22
     for module_name, names in MODULE_ONLY.items():
         module = importlib.import_module(f"bowtieseq.{module_name}")
         for name in names:

@@ -86,7 +86,7 @@ def test_sweep_at_six_vertices_agrees_everywhere():
 
 
 def test_sweep_range_is_guarded():
-    for bad in (4, 0, 11, -3):
+    for bad in (4, 0, 13, -3):
         with pytest.raises(ValueError):
             verify_characterization(bad)
 
@@ -137,7 +137,7 @@ def test_threshold_enumerates_the_sequences_once(monkeypatch):
 
 
 def test_threshold_range_is_guarded():
-    for bad in (4, 11):
+    for bad in (4, 13):
         with pytest.raises(ValueError):
             sigma_empirical(bad)
 
