@@ -6,7 +6,7 @@ graph on five vertices minus the edges of a 4-cycle; its degree sequence is
 whether some realization contains a bowtie subgraph; constructs such a
 realization explicitly whenever the answer is yes; and exhaustively
 cross-checks both the decision rules and the extremal degree-sum threshold
-4n - 4 against a brute-force search over labelled realizations.
+4n - 4 against a rules-free search over bowtie placements.
 
 The package exports what a caller of those three jobs needs; the one-step
 lay-off API, the rule matchers, the family vocabulary and the enumeration

@@ -14,8 +14,8 @@ when it clears six rules:
 
 ``check_potentially`` applies the rules in that order after graphicality
 and length screening, and reports the first failure.  The verify module
-cross-checks the whole decision procedure against a brute-force search
-over labelled realizations.
+cross-checks the whole decision procedure against the rules-free
+placement search of the graphs module.
 
 The same characterization yields a closed-form threshold: 4n - 4 is the
 smallest even bound such that every graphic length-n sequence whose sum

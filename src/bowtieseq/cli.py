@@ -5,8 +5,8 @@ Subcommands:
 * ``check SEQ`` — decide whether SEQ admits a realization containing a
   bowtie (two triangles sharing one vertex).
 * ``realize SEQ`` — build such a realization explicitly.
-* ``verify N`` — compare the decision procedure against the brute-force
-  oracle on every graphic sequence of length N (5..12).
+* ``verify N`` — compare the decision procedure against the rules-free
+  placement-search oracle on every graphic sequence of length N (5..12).
 * ``sigma N`` — recompute the extremal degree-sum threshold empirically
   for length N (5..12) and compare it with the closed form 4N - 4.
 

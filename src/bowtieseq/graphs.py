@@ -25,7 +25,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .sequences import DegreeSequence
+from .sequences import DegreeSequence, _quote, format_sequence
 
 ENUMERATION_LIMIT = 10
 
@@ -222,10 +222,10 @@ def _erdos_gallai_ok(residual: Iterable[int]) -> bool:
     degrees ends (Tripathi & Vijay, Discrete Math. 2003), so only those k
     are tested, and the tail sum is skipped where prefix <= k(k-1) holds
     on its own.  The answer is the one the full set of inequalities gives.
-    This is the graphicality proof of the walk's prune, of the oracle's
-    guard and of the verify module's enumerator alike; the placement search
-    needs none, since its Havel–Hakimi completion decides the outside as it
-    builds it.
+    It is the graphicality proof of the walk's prune and of the verify
+    module's enumerator.  The oracle needs none, since its greedy
+    realization is exact, and neither does the placement search, whose
+    Havel–Hakimi completion decides the outside as it builds it.
     """
     degs = sorted(residual, reverse=True)
     degs.append(0)  # sentinel: closes the last run and bounds the positives
@@ -251,16 +251,14 @@ def _erdos_gallai_ok(residual: Iterable[int]) -> bool:
 def enumerate_realizations(seq: DegreeSequence) -> Iterator[SimpleGraph]:
     """Yield every labelled realization of the sequence, deterministically.
 
-    Vertex i carries the i-th term of the (nonincreasing) sequence.
-    Vertex u, in increasing order, picks its neighbours among the higher
-    vertices that still have demand, as combinations in lexicographic
-    order; a pick is kept only if the remaining demands pass the exact
-    Erdős–Gallai prune.  So the stream is duplicate-free, exhaustive, and
-    identical between runs.  The walk keeps one frame per vertex on an
-    explicit stack and updates ``residual`` and the bitmask adjacency
-    ``adj`` (bit v of adj[u] is the edge uv) in place.  It is exponential,
-    so no library path runs it: the tests compare the placement search
-    against it.
+    Vertex i carries the i-th term of the (nonincreasing) sequence.  The
+    search is a plain recursion: vertex u, in increasing order, picks its
+    neighbours among the higher vertices that still have demand, as
+    combinations in lexicographic order; a pick is kept only if the
+    remaining demands pass the exact Erdős–Gallai prune, and the edges
+    chosen so far are passed down.  So the stream is duplicate-free,
+    exhaustive, and identical between runs.  It is exponential, so no
+    library path runs it: the tests compare the placement search against it.
 
     Raises TooLarge beyond ENUMERATION_LIMIT vertices and NotGraphic for
     sequences with no realization.
@@ -270,51 +268,22 @@ def enumerate_realizations(seq: DegreeSequence) -> Iterator[SimpleGraph]:
         raise TooLarge(f"enumeration is limited to {ENUMERATION_LIMIT} vertices, got {n}")
     if not _erdos_gallai_ok(seq.terms):
         raise NotGraphic(f"{seq} is not graphic")
-    residual = list(seq.terms)
-    adj = [0] * n
-    # frame: [vertex, its demand, its remaining picks, its current pick]
-    stack: list[list] = []
-    u = 0
-    while True:
+
+    def walk(u: int, residual: list[int], edges: list[tuple[int, int]]) -> Iterator[SimpleGraph]:
         while u < n and residual[u] == 0:
             u += 1
         if u == n:
-            yield SimpleGraph(
-                n, [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1]
-            )
-        else:
-            need = residual[u]
-            residual[u] = 0
-            candidates = [v for v in range(u + 1, n) if residual[v]]
-            stack.append([u, need, combinations(candidates, need), ()])
-        # Move the top frame on to its next surviving pick; drop spent frames.
-        while stack:
-            frame = stack[-1]
-            u, need, picks, chosen = frame
-            bit = 1 << u
-            for v in chosen:
-                residual[v] += 1
-                adj[v] ^= bit
-            adj[u] &= bit - 1
-            for chosen in picks:
-                for v in chosen:
-                    residual[v] -= 1
-                if _erdos_gallai_ok(residual[u + 1 :]):
-                    break
-                for v in chosen:
-                    residual[v] += 1
-            else:
-                residual[u] = need
-                stack.pop()
-                continue
-            for v in chosen:
-                adj[v] |= bit
-                adj[u] |= 1 << v
-            frame[3] = chosen
-            u += 1
-            break
-        else:
+            yield SimpleGraph(n, edges)
             return
+        candidates = [v for v in range(u + 1, n) if residual[v]]
+        for chosen in combinations(candidates, residual[u]):
+            rest = list(residual)
+            for v in chosen:
+                rest[v] -= 1
+            if _erdos_gallai_ok(rest[u + 1 :]):
+                yield from walk(u + 1, rest, edges + [(u, v) for v in chosen])
+
+    yield from walk(0, list(seq.terms), [])
 
 
 def _greedy_realization(terms: tuple[int, ...]) -> list[int] | None:
@@ -322,10 +291,11 @@ def _greedy_realization(terms: tuple[int, ...]) -> list[int] | None:
 
     Vertices go in index order; each joins as many later vertices as it
     still needs, those of largest residual demand first and the lowest
-    index among equals.  This lays off every vertex in turn in the manner
-    of Kleitman & Wang (1973), so it fails, returning None, only when the
-    terms are not graphic: some vertex finds too few later vertices with
-    demand left.
+    index among equals.  The earlier vertices have no demand left, so this
+    lays off every vertex in turn to the largest demands, which keeps a
+    graphic sequence graphic (Kleitman & Wang, 1973).  So it fails,
+    returning None, exactly when the terms are not graphic: some vertex
+    finds too few later vertices with demand left.
     """
     n = len(terms)
     residual = list(terms)
@@ -445,21 +415,20 @@ def _complete(
 def oracle_has_bowtie_realization(seq: DegreeSequence) -> bool:
     """Rules-free ground truth: does any realization contain a bowtie?
 
-    One greedy realization comes first: it proves the input graphic (the
-    Erdős–Gallai test runs only when it fails), and a bowtie in it is a
-    concrete certificate for "yes".  Otherwise the placement search
-    decides, exactly by the switching argument of ``_complete``: "yes"
-    when some placement completes to a realization, "no" when none does.
-    Each step is polynomial, so it answers at any length (NotGraphic if
-    there is no realization); the characterize module's rules are
-    validated against this oracle, so it uses none of them.
+    One greedy realization comes first: it exists exactly when the input
+    is graphic (NotGraphic otherwise), and a bowtie in it is a concrete
+    certificate for "yes".  Otherwise the placement search decides,
+    exactly by the switching argument of ``_complete``: "yes" when some
+    placement completes to a realization, "no" when none does.
+    Each step is polynomial, so it answers at any length; the characterize
+    module's rules are validated against this oracle, so it uses none of
+    them.
     """
     terms = seq.terms
     greedy = _greedy_realization(terms)
     if greedy is None:
-        if not _erdos_gallai_ok(terms):
-            raise NotGraphic(f"{seq} is not graphic")
-    elif _least_bowtie(greedy) is not None:
+        raise NotGraphic(f"{_quote(format_sequence(seq))} is not graphic")
+    if _least_bowtie(greedy) is not None:
         return True
     return any(_complete(terms, bowtie, inner) is not None for bowtie, inner in _placements(terms))
 

@@ -10,8 +10,8 @@ accepted.  Each sweep enumerates the sequences of its length once.
 Graphicality is proved by the Erdős–Gallai test of the graphs module: the
 enumerator keeps only the candidates that pass it, the rules then run on
 them without a second proof (``characterize._rule_report``).  The
-oracle's entry guard builds one greedy realization, which proves the
-input graphic, and falls back on the same test only when that fails.
+oracle runs no Erdős–Gallai test: its greedy realization exists exactly
+when its input is graphic.
 The lay-off test ``sequences.is_graphic``, which ``check_potentially``
 runs before the rules, is not on this path, so the test suite checks it
 on its own.

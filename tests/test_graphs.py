@@ -361,8 +361,9 @@ def test_oracle_agrees_with_the_public_enumeration_and_detector():
 
 
 def test_the_search_alone_decides_every_sequence(monkeypatch):
-    # without the greedy certificate every "yes" must come from the search
-    monkeypatch.setattr(graphs_module, "_greedy_realization", lambda terms: None)
+    # a greedy realization with no edges holds no bowtie, so every "yes"
+    # must come from the search (None would mean "not graphic")
+    monkeypatch.setattr(graphs_module, "_greedy_realization", lambda terms: [0] * len(terms))
     _assert_oracle_agrees_with_the_public_route()
 
 
@@ -467,6 +468,32 @@ def test_oracle_rejects_non_graphic_input_before_the_gate(monkeypatch, text):
     monkeypatch.setattr(graphs_module, "_placements", _forbidden)
     with pytest.raises(NotGraphic):
         oracle_has_bowtie_realization(parse_sequence(text))
+
+
+def test_oracle_proves_graphicality_without_erdos_gallai(monkeypatch):
+    # the greedy realization is exact, so the oracle's NotGraphic needs no
+    # second graphicality test
+    monkeypatch.setattr(graphs_module, "_erdos_gallai_ok", _forbidden)
+    checked = 0
+    for n in range(1, 9):
+        for terms in nonincreasing_positive_sequences(n, n):
+            seq = DegreeSequence(terms)
+            if erdos_gallai_graphic(list(terms)):
+                assert type(oracle_has_bowtie_realization(seq)) is bool, terms
+            else:
+                with pytest.raises(NotGraphic):
+                    oracle_has_bowtie_realization(seq)
+            checked += 1
+    assert checked == sum(comb(2 * n - 1, n) for n in range(1, 9))
+
+
+def test_oracle_not_graphic_message_stays_short_for_a_long_sequence():
+    seq = DegreeSequence(range(3000, 0, -1))
+    with pytest.raises(NotGraphic) as caught:
+        oracle_has_bowtie_realization(seq)
+    message = str(caught.value)
+    assert message.startswith("'3000,2999,") and message.endswith(" is not graphic")
+    assert len(message) < 200
 
 
 def test_oracle_answers_beyond_the_enumeration_limit_without_walking(monkeypatch):
