@@ -135,43 +135,36 @@ def degree_sequence(graph: SimpleGraph) -> DegreeSequence:
     return DegreeSequence(degs)
 
 
-def _least_bowtie(adj: list[int]) -> BowtieWitness | None:
-    """Least bowtie in a bitmask adjacency (bit v of adj[u] is the edge uv).
+def _least_bowtie(adj: list[set[int]]) -> tuple[int, tuple[int, int], tuple[int, int]] | None:
+    """The least bowtie in neighbour sets (adj[u] is the set of u's
+    neighbours) as (center, wing1, wing2): the oracle needs no witness.
 
-    Centres are scanned in increasing order.  For each centre the wing pairs
-    (a, b), a < b, come in lexicographic order, and the first one that has a
-    vertex-disjoint later pair (d, e) wins together with the least such
-    pair.  The result is therefore the minimum witness under (center, wing1,
-    wing2) tuple order.  Neighbours are read off the set bits, so the work
-    per centre depends on its degree, not on the vertex count.
+    Centres go in increasing order; for each, the wing pairs (a, b), a < b,
+    in lexicographic order, and the first with a vertex-disjoint later pair
+    (d, e) wins with the least one: the first d above a, not b, with a
+    neighbour e above it, not b.  So the result is the minimum under tuple
+    order.  Memory is linear in the edge count; each triangle on a centre
+    costs at most one walk of its neighbours (quadratic in its degree on the
+    book graph K_{1,1,m}).
     """
     for center, around in enumerate(adj):
-        if around.bit_count() < 4:
+        if len(around) < 4:
             continue
-        above = around  # neighbours of the centre above the current a
-        while above:
-            low = above & -above
-            above ^= low
-            a = low.bit_length() - 1
-            partners = adj[a] & above
-            while partners:
-                b_bit = partners & -partners
-                partners ^= b_bit
-                # a later disjoint pair lies above a and avoids b
-                seconds = above & ~b_bit
-                while seconds:
-                    d_bit = seconds & -seconds
-                    seconds ^= d_bit
-                    mates = adj[d_bit.bit_length() - 1] & seconds
-                    if mates:
-                        return BowtieWitness(
-                            center=center,
-                            wing1=(a, b_bit.bit_length() - 1),
-                            wing2=(
-                                d_bit.bit_length() - 1,
-                                (mates & -mates).bit_length() - 1,
-                            ),
-                        )
+        ns = sorted(around)
+        for i, a in enumerate(ns):
+            partners = adj[a] & around
+            if not partners:  # spares the slice: a star's centre stays linear
+                continue
+            later = ns[i + 1 :]
+            for b in sorted(partners):
+                if b < a:
+                    continue
+                rest = set(later)  # the second wing lies above a and avoids b
+                rest.discard(b)
+                for d in later:
+                    rest.discard(d)
+                    if d != b and not rest.isdisjoint(adj[d]):
+                        return center, (a, b), (d, min(rest & adj[d]))
     return None
 
 
@@ -181,12 +174,8 @@ def contains_bowtie(graph: SimpleGraph) -> BowtieWitness | None:
     The witness is the minimum under (center, wing1, wing2) tuple order, so
     adding edges to the graph can never lose it.
     """
-    bit = [1 << v for v in range(graph.vertex_count)]
-    adj = [0] * graph.vertex_count
-    for u, v in graph.edges:
-        adj[u] |= bit[v]
-        adj[v] |= bit[u]
-    return _least_bowtie(adj)
+    found = _least_bowtie(graph.adjacency())
+    return BowtieWitness(*found) if found else None
 
 
 def attach_by_degrees(graph: SimpleGraph, neighbour_degrees: Iterable[int]) -> SimpleGraph:
@@ -286,8 +275,9 @@ def enumerate_realizations(seq: DegreeSequence) -> Iterator[SimpleGraph]:
     yield from walk(0, list(seq.terms), [])
 
 
-def _greedy_realization(terms: tuple[int, ...]) -> list[int] | None:
-    """One realization of ``terms`` as a bitmask adjacency, or None.
+def _greedy_realization(terms: tuple[int, ...]) -> list[set[int]] | None:
+    """One realization of ``terms`` as neighbour sets, the form
+    ``SimpleGraph.adjacency`` returns and ``_least_bowtie`` reads, or None.
 
     Vertices go in index order; each joins as many later vertices as it
     still needs, those of largest residual demand first and the lowest
@@ -299,7 +289,7 @@ def _greedy_realization(terms: tuple[int, ...]) -> list[int] | None:
     """
     n = len(terms)
     residual = list(terms)
-    adj = [0] * n
+    adj: list[set[int]] = [set() for _ in range(n)]
     for u in range(n):
         need = residual[u]
         if not need:
@@ -310,8 +300,8 @@ def _greedy_realization(terms: tuple[int, ...]) -> list[int] | None:
             return None
         for v in picks:
             residual[v] -= 1
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+            adj[u].add(v)
+            adj[v].add(u)
     return adj
 
 
@@ -454,12 +444,9 @@ def dot_text(graph: SimpleGraph, witness: BowtieWitness | None = None) -> str:
     lines = ["graph {"]
     if witness is not None:
         lines.append(f"  // {_witness_header(witness)}")
-    touched = [False] * graph.vertex_count
-    for u, v in graph.sorted_edges():
-        touched[u] = touched[v] = True
-    for v, seen in enumerate(touched):
-        if not seen:
-            lines.append(f"  {v};")
-    lines.extend(f"  {u} -- {v};" for u, v in graph.sorted_edges())
+    edges = graph.sorted_edges()
+    touched = {v for edge in edges for v in edge}
+    lines.extend(f"  {v};" for v in range(graph.vertex_count) if v not in touched)
+    lines.extend(f"  {u} -- {v};" for u, v in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

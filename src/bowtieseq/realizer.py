@@ -183,45 +183,37 @@ def reattach(graph: SimpleGraph, trace: LayoffTrace) -> SimpleGraph:
     return attach_by_degrees(graph, trace.decremented_degrees)
 
 
-def _reject_unless_potentially(seq: DegreeSequence) -> None:
-    """Raise NotPotentially, naming the failure, if the rules reject seq."""
-    report = check_potentially(seq)
-    if not report.potentially:
-        detail = report.failure.value if report.failure is not None else "rejected"
-        raise NotPotentially(
-            f"{_quote(format_sequence(seq))} is not potentially bowtie-graphic ({detail})"
-        )
-
-
 def realize_with_bowtie(seq: DegreeSequence) -> SimpleGraph:
     """Construct a realization of an accepted sequence containing a bowtie.
 
     Certificate first: the placements are tried before any decision.  A
     completed placement proves the sequence graphic, so only the rules
     (``_rule_report``) run on it, not the quadratic lay-off test.
-    ``check_potentially`` runs once a placement fails to complete (or if
-    there is none); if it rejects, NotPotentially names the failure, and
-    otherwise the search goes on.  For accepted input the construction always succeeds.
+    ``check_potentially`` runs once, when the first placement fails to
+    complete (or there is none); if it rejects, NotPotentially names the
+    failure, and otherwise the first placement left that completes is
+    taken.  For accepted input the construction always succeeds.
     InternalExhaustion means the library itself is wrong: the rules reject
     a sequence just realized with a bowtie, an accepted sequence has no
     placement, or the graph fails its final validation.
     """
-    checked = False
-    for bowtie, inner in _placements(seq.terms):
-        edges = _complete(seq.terms, bowtie, inner)
-        if edges is not None:
-            break
-        if not checked:
-            _reject_unless_potentially(seq)
-            checked = True
-    else:
-        if not checked:
-            _reject_unless_potentially(seq)
-        raise InternalExhaustion(f"accepted sequence {seq} has no bowtie placement")
+    terms = seq.terms
+    pairs = ((inner, _complete(terms, bowtie, inner)) for bowtie, inner in _placements(terms))
+    inner, edges = next(pairs, ([], None))
+    if edges is None:
+        report = check_potentially(seq)
+        if not report.potentially:
+            detail = report.failure.value if report.failure is not None else "rejected"
+            raise NotPotentially(
+                f"{_quote(format_sequence(seq))} is not potentially bowtie-graphic ({detail})"
+            )
+        inner, edges = next((pair for pair in pairs if pair[1] is not None), ([], None))
+        if edges is None:
+            raise InternalExhaustion(f"accepted sequence {seq} has no bowtie placement")
     graph = SimpleGraph(len(seq), edges)
     # vertex i carries term i, so the degrees must match label for label, and
     # the placed bowtie's six edges (the first six of inner) must be present
-    if graph.degrees() != list(seq.terms) or not all(
+    if graph.degrees() != list(terms) or not all(
         graph.has_edge(u, v) for u, v in inner[:6]
     ):
         raise InternalExhaustion(f"realization of {seq} failed final validation")
