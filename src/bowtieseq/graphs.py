@@ -4,9 +4,11 @@ Provides the graph value type, degree extraction, bowtie-subgraph detection,
 the step that adds one vertex by its neighbours' degrees (a lay-off run in
 reverse), the exact bowtie placement search and the oracle built on it.
 The oracle is deliberately independent of the rule-based decision procedure
-in the characterize module so the two can cross-validate each other.  A
-"yes" is certified by one greedy realization that holds a bowtie, or else
-by a bowtie placement that completes; a "no" means no placement completes.
+in the characterize module so the two can cross-validate each other.  One
+lay-off kernel, ``_complete``, builds every realization: with nothing
+placed it is Havel–Hakimi's, which proves the input graphic and, when it
+holds a bowtie, certifies a "yes"; otherwise a bowtie placement that it
+completes certifies the "yes", and a "no" means no placement completes.
 The realizer builds its realizations with the same search.  The exhaustive
 enumerator of labelled realizations for small sequences is on no library
 path: it is the reference the search is tested against.
@@ -19,9 +21,9 @@ isomorphism by brute force).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache
-from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -212,9 +214,8 @@ def _erdos_gallai_ok(residual: Iterable[int]) -> bool:
     are tested, and the tail sum is skipped where prefix <= k(k-1) holds
     on its own.  The answer is the one the full set of inequalities gives.
     It is the graphicality proof of the walk's prune and of the verify
-    module's enumerator.  The oracle needs none, since its greedy
-    realization is exact, and neither does the placement search, whose
-    Havel–Hakimi completion decides the outside as it builds it.
+    module's enumerator.  The oracle and the placement search need none:
+    ``_complete`` decides graphicality as it builds the realization.
     """
     degs = sorted(residual, reverse=True)
     degs.append(0)  # sentinel: closes the last run and bounds the positives
@@ -275,36 +276,6 @@ def enumerate_realizations(seq: DegreeSequence) -> Iterator[SimpleGraph]:
     yield from walk(0, list(seq.terms), [])
 
 
-def _greedy_realization(terms: tuple[int, ...]) -> list[set[int]] | None:
-    """One realization of ``terms`` as neighbour sets, the form
-    ``SimpleGraph.adjacency`` returns and ``_least_bowtie`` reads, or None.
-
-    Vertices go in index order; each joins as many later vertices as it
-    still needs, those of largest residual demand first and the lowest
-    index among equals.  The earlier vertices have no demand left, so this
-    lays off every vertex in turn to the largest demands, which keeps a
-    graphic sequence graphic (Kleitman & Wang, 1973).  So it fails,
-    returning None, exactly when the terms are not graphic: some vertex
-    finds too few later vertices with demand left.
-    """
-    n = len(terms)
-    residual = list(terms)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u in range(n):
-        need = residual[u]
-        if not need:
-            continue
-        # sorted is stable under reverse, so equal demands keep index order
-        picks = sorted(range(u + 1, n), key=residual.__getitem__, reverse=True)[:need]
-        if len(picks) < need or not residual[picks[-1]]:
-            return None
-        for v in picks:
-            residual[v] -= 1
-            adj[u].add(v)
-            adj[v].add(u)
-    return adj
-
-
 @cache
 def _cross_subsets(room: tuple[int, ...]) -> tuple[int, ...]:
     """The subsets of the cross edges ad, ae, bd and be, as bits 0..3 of a
@@ -355,14 +326,20 @@ def _placements(terms: tuple[int, ...]) -> Iterator[tuple[list[int], list[tuple[
 
 def _complete(
     terms: tuple[int, ...], bowtie: list[int], inner: list[tuple[int, int]]
-) -> list[tuple[int, int]] | None:
-    """The edges of a realization that holds one bowtie placement (``inner``
-    first), or None if there is none.
+) -> list[set[int]] | None:
+    """A realization of ``terms`` that holds the edges ``inner`` placed on
+    the vertices ``bowtie``, as neighbour sets (the form
+    ``SimpleGraph.adjacency`` returns and ``_least_bowtie`` reads), or None
+    if there is none.  With nothing placed it is Havel–Hakimi's realization,
+    so it is None exactly when the terms are not graphic.
 
-    ``join(u, need)`` joins u to the ``need`` outside vertices of largest
-    remaining demand, the lowest index first among equals, and fails if
-    fewer than ``need`` have demand left.  Each bowtie vertex joins in turn,
-    then the outside vertex of largest demand, until none has any.
+    The outside vertices wait in one list, stably sorted by remaining
+    demand, largest first.  Each bowtie vertex in turn, then the front
+    vertex of the list, takes the ``need`` vertices of largest demand after
+    it, and fails if fewer than ``need`` have demand left.  In the block of
+    equal demand where the picks end it takes the last members, so the list
+    stays sorted once their demands drop; vertices whose demand reaches
+    zero are trimmed from its tail.
 
     This is exact, by a switching argument.  If a realization holds the
     placement and joins a bowtie vertex v to an outside vertex x but not to
@@ -371,54 +348,65 @@ def _complete(
     every bowtie edge.  So v may take the largest demands (the lay-off of
     Kleitman & Wang 1973, kept outside the bowtie), and after the fifth
     bowtie vertex what is left is a graph on the outside vertices alone,
-    which Havel–Hakimi builds if it exists.  A bowtie in any realization is
-    one of the ``_placements`` after relabelling equal degrees, so a graphic
-    sequence has a realization with a bowtie exactly when some placement
-    completes.
+    which Havel–Hakimi builds if it exists.  Outside vertices of equal
+    demand trade places by relabelling, since no vertex still to lay off is
+    joined to either, so any tie rule is exact.  A bowtie in any
+    realization is one of the ``_placements`` after relabelling equal
+    degrees, so a graphic sequence has a realization with a bowtie exactly
+    when some placement completes.
     """
-    demand = list(terms)
+    adj: list[set[int]] = [set() for _ in terms]
+    short = [-t for t in terms]  # minus the remaining demands: a key in C
     for u, v in inner:
-        demand[u] -= 1
-        demand[v] -= 1
-    heap = [(-demand[v], v) for v in range(len(terms)) if v not in bowtie]
-    heapify(heap)
-    edges = list(inner)
-
-    def join(u: int, need: int) -> bool:
-        if need > len(heap):
-            return False
-        for left, v in [heappop(heap) for _ in range(need)]:
-            edges.append((u, v))
-            if left < -1:
-                heappush(heap, (left + 1, v))
-        return True
-
-    if not all(join(v, demand[v]) for v in bowtie):
-        return None
-    while heap:
-        need, u = heappop(heap)
-        if not join(u, -need):
+        adj[u].add(v)
+        adj[v].add(u)
+        short[u] += 1
+        short[v] += 1
+    key = short.__getitem__
+    # the bowtie vertices lay off first, then each outside vertex from the
+    # front; order[:size] is what the trimming leaves
+    order = bowtie + sorted([v for v in range(len(terms)) if v not in bowtie], key=key)
+    size = len(order)
+    for at, u in enumerate(order):
+        need = -short[u]
+        if not need:
+            continue
+        first = at + 1 if at >= len(bowtie) else len(bowtie)  # candidates from here
+        end = first + need
+        if end > size:
             return None
-    return edges
+        least = short[order[end - 1]]  # the key of the block the picks end in
+        if end == size or short[order[end]] != least:
+            picks = order[first:end]
+        else:  # the block runs past the picks: take its last members
+            lo = bisect_left(order, least, first, end, key=key)
+            hi = bisect_right(order, least, end, size, key=key)
+            picks = order[first:lo] + order[hi - end + lo : hi]
+        adj[u].update(picks)
+        for v in picks:
+            adj[v].add(u)
+            short[v] += 1
+        size = bisect_left(order, 0, first, size, key=key)  # trim the zeros
+    return adj
 
 
 def oracle_has_bowtie_realization(seq: DegreeSequence) -> bool:
     """Rules-free ground truth: does any realization contain a bowtie?
 
-    One greedy realization comes first: it exists exactly when the input
-    is graphic (NotGraphic otherwise), and a bowtie in it is a concrete
-    certificate for "yes".  Otherwise the placement search decides,
-    exactly by the switching argument of ``_complete``: "yes" when some
-    placement completes to a realization, "no" when none does.
-    Each step is polynomial, so it answers at any length; the characterize
-    module's rules are validated against this oracle, so it uses none of
-    them.
+    ``_complete`` with nothing placed comes first: its Havel–Hakimi
+    realization exists exactly when the input is graphic (NotGraphic
+    otherwise), and a bowtie in it is a concrete certificate for "yes".
+    Otherwise the placement search decides, exactly by the switching
+    argument of ``_complete``: "yes" when some placement completes to a
+    realization, "no" when none does.  Each step is polynomial, so it
+    answers at any length; the characterize module's rules are validated
+    against this oracle, so it uses none of them.
     """
     terms = seq.terms
-    greedy = _greedy_realization(terms)
-    if greedy is None:
+    certificate = _complete(terms, [], [])
+    if certificate is None:
         raise NotGraphic(f"{_quote(format_sequence(seq))} is not graphic")
-    if _least_bowtie(greedy) is not None:
+    if _least_bowtie(certificate) is not None:
         return True
     return any(_complete(terms, bowtie, inner) is not None for bowtie, inner in _placements(terms))
 

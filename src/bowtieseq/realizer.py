@@ -6,9 +6,10 @@ ae, bd and be that the wing degrees allow.  The placements and their
 completion are the rules-free search of the graphs module
 (``graphs._placements``, ``graphs._complete``), which the oracle also
 decides with: each bowtie vertex in turn joins the outside vertices of
-largest remaining demand, then Havel–Hakimi completes the outside.  The
-first placement that completes is the realization; the switching argument
-that makes the search exact is in ``graphs._complete``.
+largest remaining demand, then Havel–Hakimi completes the outside, and the
+neighbour sets it returns become the graph.  The first placement that
+completes is the realization; the switching argument that makes the search
+exact is in ``graphs._complete``.
 
 The search comes before the decision.  A completed placement is a
 realization, so it proves the sequence graphic, and only the rules
@@ -199,24 +200,30 @@ def realize_with_bowtie(seq: DegreeSequence) -> SimpleGraph:
     """
     terms = seq.terms
     pairs = ((inner, _complete(terms, bowtie, inner)) for bowtie, inner in _placements(terms))
-    inner, edges = next(pairs, ([], None))
-    if edges is None:
-        report = check_potentially(seq)
-        if not report.potentially:
-            detail = report.failure.value if report.failure is not None else "rejected"
+    inner, adj = next(pairs, ([], None))
+    if adj is None:
+        failure = check_potentially(seq).failure
+        if failure is not None:
             raise NotPotentially(
-                f"{_quote(format_sequence(seq))} is not potentially bowtie-graphic ({detail})"
+                f"{_quote(format_sequence(seq))} is not potentially bowtie-graphic"
+                f" ({failure.value})"
             )
-        inner, edges = next((pair for pair in pairs if pair[1] is not None), ([], None))
-        if edges is None:
-            raise InternalExhaustion(f"accepted sequence {seq} has no bowtie placement")
-    graph = SimpleGraph(len(seq), edges)
+        inner, adj = next((pair for pair in pairs if pair[1] is not None), ([], None))
+        if adj is None:
+            raise InternalExhaustion(
+                f"accepted sequence {_quote(format_sequence(seq))} has no bowtie placement"
+            )
+    graph = SimpleGraph(len(seq), ((u, v) for u, row in enumerate(adj) for v in row if u < v))
     # vertex i carries term i, so the degrees must match label for label, and
     # the placed bowtie's six edges (the first six of inner) must be present
     if graph.degrees() != list(terms) or not all(
         graph.has_edge(u, v) for u, v in inner[:6]
     ):
-        raise InternalExhaustion(f"realization of {seq} failed final validation")
+        raise InternalExhaustion(
+            f"realization of {_quote(format_sequence(seq))} failed final validation"
+        )
     if not _rule_report(seq).potentially:
-        raise InternalExhaustion(f"the rules reject {seq}, realized with a bowtie")
+        raise InternalExhaustion(
+            f"the rules reject {_quote(format_sequence(seq))}, realized with a bowtie"
+        )
     return graph

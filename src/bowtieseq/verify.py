@@ -10,14 +10,14 @@ accepted.  Each sweep enumerates the sequences of its length once.
 Graphicality is proved by the Erdős–Gallai test of the graphs module: the
 enumerator keeps only the candidates that pass it, the rules then run on
 them without a second proof (``characterize._rule_report``).  The
-oracle runs no Erdős–Gallai test: its greedy realization exists exactly
-when its input is graphic.
+oracle runs no Erdős–Gallai test: its Havel–Hakimi realization exists
+exactly when its input is graphic.
 The lay-off test ``sequences.is_graphic``, which ``check_potentially``
 runs before the rules, is not on this path, so the test suite checks it
 on its own.
 
-The oracle certifies a "yes" by one greedy realization that holds a
-bowtie (most accepted sequences), or else by a bowtie placement that
+The oracle certifies a "yes" by its Havel–Hakimi realization when that
+holds a bowtie (most accepted sequences), or else by a bowtie placement that
 completes; a "no" means the rules-free placement search of the graphs
 module found no placement that completes (none at all for rules 1 and 2).
 No labelled realization is enumerated: that exhaustive walk is only the

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import re
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
+import bowtieseq.cli as cli
 import bowtieseq.realizer as realizer_module
 from _brute import nonincreasing_positive_sequences
 from realize_sweep import certificate_problem
@@ -33,7 +34,7 @@ from bowtieseq.realizer import (
     match_family,
     reattach,
 )
-from bowtieseq.sequences import lay_off
+from bowtieseq.sequences import format_sequence, lay_off
 from bowtieseq.verify import enumerate_graphic_sequences
 
 
@@ -175,7 +176,7 @@ def test_failed_construction_raises_the_alarm(monkeypatch):
     # force a wrong graph (one edge) out of the placement step: the final
     # validation must notice
     def one_edge(terms, bowtie, inner):
-        return [(0, 1)]
+        return SimpleGraph(len(terms), [(0, 1)]).adjacency()
 
     monkeypatch.setattr(realizer_module, "_complete", one_edge)
     with pytest.raises(InternalExhaustion, match="final validation"):
@@ -359,6 +360,26 @@ def test_rules_that_reject_a_realized_sequence_raise_the_alarm(monkeypatch):
         realize_with_bowtie(parse_sequence("5,3,2^9"))
 
 
+def test_the_no_placement_alarm_quotes_a_long_sequence_briefly(monkeypatch, capsys):
+    # accepted, yet no placement completes: the alarm names the sequence
+    # through _quote, so its message and the CLI's stderr line stay short.
+    # Only the first three placements are tried: this sequence has trillions
+    seq = DegreeSequence(range(3000, 0, -1))
+    accepted = CheckReport(graphic=True, potentially=True, failure=None)
+    placements = _placements
+    monkeypatch.setattr(realizer_module, "check_potentially", lambda seq: accepted)
+    monkeypatch.setattr(realizer_module, "_complete", lambda terms, bowtie, inner: None)
+    monkeypatch.setattr(realizer_module, "_placements", lambda terms: islice(placements(terms), 3))
+    with pytest.raises(InternalExhaustion) as caught:
+        realize_with_bowtie(seq)
+    message = str(caught.value)
+    assert message.startswith("accepted sequence '3000,2999,")
+    assert message.endswith(" has no bowtie placement") and len(message) < 200
+    assert cli.main(["realize", format_sequence(seq)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"falsification alarm: {message}\n"
+
+
 def test_a_realization_without_the_placed_bowtie_fails_final_validation(monkeypatch):
     # the input degrees, label for label, and a bowtie, but not the placed
     # one: the validation tests the placed bowtie's six edges
@@ -371,8 +392,8 @@ def test_a_realization_without_the_placed_bowtie_fails_final_validation(monkeypa
         and not all(graph.has_edge(*edge) for edge in inner[:6])
     )
     assert elsewhere.degrees() == list(seq.terms)
-    edges = elsewhere.sorted_edges()
-    monkeypatch.setattr(realizer_module, "_complete", lambda terms, bowtie, inner: edges)
+    adj = elsewhere.adjacency()
+    monkeypatch.setattr(realizer_module, "_complete", lambda terms, bowtie, inner: adj)
     with pytest.raises(InternalExhaustion, match="final validation"):
         realize_with_bowtie(seq)
 
