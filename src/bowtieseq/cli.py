@@ -137,7 +137,6 @@ def _cmd_realize(args: argparse.Namespace) -> int:
         ]
         lines.extend(f"edge={u},{v}" for u, v in graph.sorted_edges())
     else:
-        adjacency = graph.adjacency()
         lines = [
             f"sequence: {format_sequence(seq)}",
             f"n: {graph.vertex_count}",
@@ -149,10 +148,8 @@ def _cmd_realize(args: argparse.Namespace) -> int:
             ),
             "adjacency:",
         ]
-        lines.extend(
-            f"  {v}: " + " ".join(str(u) for u in sorted(adjacency[v]))
-            for v in range(graph.vertex_count)
-        )
+        rows = enumerate(graph.adjacency())
+        lines.extend(f"  {v}: " + " ".join(map(str, sorted(row))) for v, row in rows)
     print("\n".join(lines))
     return EXIT_OK
 

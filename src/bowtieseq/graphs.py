@@ -1,8 +1,8 @@
 """Simple labelled graphs and the bowtie machinery.
 
-Provides the graph value type, degree extraction, bowtie-subgraph detection,
-the step that adds one vertex by its neighbours' degrees (a lay-off run in
-reverse), the exact bowtie placement search and the oracle built on it.
+Provides the graph type (one neighbour set per vertex), degree extraction,
+bowtie detection, the step that adds one vertex by its neighbours' degrees
+(a lay-off run in reverse), the bowtie placement search and its oracle.
 The oracle is deliberately independent of the rule-based decision procedure
 in the characterize module so the two can cross-validate each other.  One
 lay-off kernel, ``_complete``, builds every realization: with nothing
@@ -49,14 +49,15 @@ class TraceMismatch(ValueError):
 
 
 class SimpleGraph:
-    """Immutable labelled simple graph on vertices 0..vertex_count-1."""
+    """Immutable labelled simple graph on vertices 0..vertex_count-1, stored as
+    rows: row u is the set of u's neighbours, the form ``_complete`` builds."""
 
-    __slots__ = ("_n", "_edges")
+    __slots__ = ("_adj",)
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        if vertex_count < 0:
-            raise ValueError(f"vertex_count must be >= 0, got {vertex_count}")
-        normalized = set()
+        if type(vertex_count) is not int or vertex_count < 0:
+            raise ValueError(f"vertex_count must be an int >= 0, got {vertex_count!r}")
+        adj: list[set[int]] = [set() for _ in range(vertex_count)]
         for u, v in edges:
             if type(u) is not int or type(v) is not int:  # bool is an int subclass
                 raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
@@ -64,52 +65,56 @@ class SimpleGraph:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge ({u}, {v}) outside 0..{vertex_count - 1}")
-            normalized.add((u, v) if u < v else (v, u))
-        self._n = vertex_count
-        self._edges = frozenset(normalized)
+            adj[u].add(v)
+            adj[v].add(u)
+        self._adj = adj
+
+    @classmethod
+    def _of(cls, adj: list[set[int]]) -> SimpleGraph:
+        """Take over rows of integers, checked as the constructor checks edges."""
+        n = len(adj)
+        for u, row in enumerate(adj):
+            for v in row:
+                if not (0 <= v < n and v != u and u in adj[v]):
+                    raise ValueError(f"vertex {u} lists {v}: not another vertex that lists {u}")
+        graph = cls.__new__(cls)
+        graph._adj = adj
+        return graph
 
     @property
     def vertex_count(self) -> int:
-        return self._n
+        return len(self._adj)
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        return self._edges
+        return frozenset(self.sorted_edges())
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self._adj)) // 2
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self._edges)
+        return [(u, v) for u, row in enumerate(self._adj) for v in sorted(row) if u < v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._edges
+        return type(u) is type(v) is int and 0 <= u < len(self._adj) and v in self._adj[u]
 
     def degrees(self) -> list[int]:
-        degs = [0] * self._n
-        for u, v in self._edges:
-            degs[u] += 1
-            degs[v] += 1
-        return degs
+        return list(map(len, self._adj))
 
     def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self._n)]
-        for u, v in self._edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        return [set(row) for row in self._adj]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SimpleGraph):
-            return self._n == other._n and self._edges == other._edges
+            return self._adj == other._adj
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._n, self._edges))
+        return hash(tuple(map(frozenset, self._adj)))
 
     def __repr__(self) -> str:
-        return f"SimpleGraph({self._n}, {self.sorted_edges()!r})"
+        return f"SimpleGraph({self.vertex_count}, {self.sorted_edges()!r})"
 
 
 @dataclass(frozen=True)
@@ -176,7 +181,7 @@ def contains_bowtie(graph: SimpleGraph) -> BowtieWitness | None:
     The witness is the minimum under (center, wing1, wing2) tuple order, so
     adding edges to the graph can never lose it.
     """
-    found = _least_bowtie(graph.adjacency())
+    found = _least_bowtie(graph._adj)
     return BowtieWitness(*found) if found else None
 
 
@@ -423,7 +428,7 @@ def edge_list_text(graph: SimpleGraph, witness: BowtieWitness | None = None) -> 
     A witness, when given, is recorded as a leading '#' comment line.
     """
     lines = [] if witness is None else [f"# {_witness_header(witness)}"]
-    lines.extend(f"{u} {v}" for u, v in graph.sorted_edges())
+    lines.extend(f"{u} {v}" for u, row in enumerate(graph._adj) for v in sorted(row) if u < v)
     return "\n".join(lines) + "\n"
 
 
@@ -432,9 +437,7 @@ def dot_text(graph: SimpleGraph, witness: BowtieWitness | None = None) -> str:
     lines = ["graph {"]
     if witness is not None:
         lines.append(f"  // {_witness_header(witness)}")
-    edges = graph.sorted_edges()
-    touched = {v for edge in edges for v in edge}
-    lines.extend(f"  {v};" for v in range(graph.vertex_count) if v not in touched)
-    lines.extend(f"  {u} -- {v};" for u, v in edges)
+    lines.extend(f"  {v};" for v, row in enumerate(graph._adj) if not row)
+    lines.extend(f"  {u} -- {v};" for u, v in graph.sorted_edges())
     lines.append("}")
     return "\n".join(lines) + "\n"

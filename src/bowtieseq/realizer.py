@@ -7,7 +7,7 @@ completion are the rules-free search of the graphs module
 (``graphs._placements``, ``graphs._complete``), which the oracle also
 decides with: each bowtie vertex in turn joins the outside vertices of
 largest remaining demand, then Havel–Hakimi completes the outside, and the
-neighbour sets it returns become the graph.  The first placement that
+neighbour sets it returns become the graph's rows.  The first placement that
 completes is the realization; the switching argument that makes the search
 exact is in ``graphs._complete``.
 
@@ -213,7 +213,7 @@ def realize_with_bowtie(seq: DegreeSequence) -> SimpleGraph:
             raise InternalExhaustion(
                 f"accepted sequence {_quote(format_sequence(seq))} has no bowtie placement"
             )
-    graph = SimpleGraph(len(seq), ((u, v) for u, row in enumerate(adj) for v in row if u < v))
+    graph = SimpleGraph._of(adj)
     # vertex i carries term i, so the degrees must match label for label, and
     # the placed bowtie's six edges (the first six of inner) must be present
     if graph.degrees() != list(terms) or not all(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -174,6 +175,53 @@ def test_realize_output_degrees_match_larger_case(capsys):
         degrees[u] = degrees.get(u, 0) + 1
         degrees[v] = degrees.get(v, 0) + 1
     assert sorted(degrees.values(), reverse=True) == [4] + [2] * 10
+
+
+# sha256 of the realize output in each format; the last three sequences are
+# degree sequences of seeded random graphs with a planted bowtie (n = 200,
+# 197 and 109)
+REALIZE_DIGESTS = {
+    "4,2^4": {
+        "text": "44bca274c533e0003097c3bdb3ce7f1644dfc7578716663ef812892e588a4f96",
+        "structured": "dbeb125be68c463d8403080e7cfc23d1064d9dd7ae120be2375863abf2f551a6",
+        "dot": "010e5452f4c6fe091a80da82a2cb4fa1c295dca99ed165a444b6291e1f275a16",
+        "edges": "a5f6962bf1d60027b7b2de09b40e85f0641612d5673e133c51fb58490ab7c50d",
+    },
+    "4^1000": {
+        "text": "7be02b2238e0bb1176cdbce896b1e15fa8e8a7899828aaffa5e7fe780e48e30f",
+        "structured": "4dbddd133882fa517d944d2715f110278b9362a1077dfb04e652ec0f47b102f3",
+        "dot": "5215736c6bb278977d2eeb4669cdd82c50f7af781ecae5cbc788f6f6942d268b",
+        "edges": "73e289b1a9424dc397eb570e414b1b78a0d3edbd2854a1d2982e4389a13a6156",
+    },
+    "37,26,24,19,15^3,14^5,13,11^3,10^5,9^8,8^7,7^11,6^16,5^25,4^37,3^38,2^24,1^13": {
+        "text": "775974807f37f2e42377a41fca9cbabad0c21d32c20b844f8b244523c7bb06f9",
+        "structured": "b5063e55245ae574d1eb3e6ea06a7671be9f780254ca18a9c89379e5520f72c8",
+        "dot": "f7886a39141954186e0ffdb16561764bd2ed07412e662e71bf7a6de9a987e21e",
+        "edges": "2f8fae5fbfa8dfd37887712689561541d8338172fcd0a8a16315abf2733783e2",
+    },
+    "84,70,38,34,30,28,22,20,19,18,17,16,15^3,14^3,13^2,12^6,11^3,10^3,9^10,8^20,7^18,6^21,5^20,4^34,3^20,2^16,1^6": {
+        "text": "5a2da3e3db31659266b638e62cd08c4f027acedbb2124e08f0732a9a8245cc8e",
+        "structured": "8eb90d7ebb760ee9ac4ebe7cc06c6198e3d7dec6cb3ea4837dcdd71799ebaa68",
+        "dot": "ba4114b684f4b5fd633071df18df6912cd846d0363600dcc7f3d1e5f5f7a15a7",
+        "edges": "a0c0467f434fee27f8d70ebf4582a309c2f35cf0062b931dcd66dc87f4e8170d",
+    },
+    "61,33,27,22,19,16^3,15^2,13^2,12^4,11^2,10^7,9^6,8^7,7^10,6^15,5^10,4^15,3^15,2^5,1": {
+        "text": "74b9336af73412dc957436733a79e30d1ba94677b9251b17fd964aabeb837f4a",
+        "structured": "9a29b2f8db926d5a787ae68e00c5081a68f7bfa74a14a7d5db1b0e5f2da5cb8a",
+        "dot": "a21e274ecbfb52ad06ea84b82c820dd2dadd102d7ae6256f21eb547a21219d7b",
+        "edges": "7b370f16a3b8402a3bd2a8c5bf1f9e058997480fdfc7ae71bd16155f4e871991",
+    },
+}
+
+
+def test_realize_output_is_pinned_byte_for_byte(capsys):
+    started = time.perf_counter()
+    for text, digests in REALIZE_DIGESTS.items():
+        for output, digest in digests.items():
+            code, out, err = run_cli(capsys, "realize", text, "--output", output)
+            assert code == 0 and err == ""
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (text[:20], output)
+    assert time.perf_counter() - started < 2
 
 
 # ---------------------------------------------------------------------- verify

@@ -86,6 +86,53 @@ def test_graph_rejects_bad_edges():
         SimpleGraph(-1)
 
 
+def test_graph_rejects_a_bad_vertex_count():
+    # a float count used to construct and fail later in degrees(); True
+    # used to construct SimpleGraph(True, [])
+    with pytest.raises(ValueError):
+        SimpleGraph(2.5, [(0, 1)])
+    with pytest.raises(ValueError):
+        SimpleGraph(True)
+
+
+def test_has_edge_is_false_outside_the_graph():
+    g = SimpleGraph(3, [(0, 2)])
+    # -1 must not wrap around to vertex 2, whose row holds 0
+    assert not g.has_edge(-1, 0) and not g.has_edge(0, -1)
+    assert not g.has_edge(0, 3) and not g.has_edge(3, 0)
+    assert not g.has_edge(2, 2)
+
+
+def test_graph_from_rows_checks_them():
+    assert SimpleGraph._of([{1}, {0}, set()]) == SimpleGraph(3, [(0, 1)])
+    with pytest.raises(ValueError):
+        SimpleGraph._of([{1}, set()])  # asymmetric: 1 does not list 0
+    with pytest.raises(ValueError):
+        SimpleGraph._of([{0, 1}, {0}])  # a self-loop at 0
+    with pytest.raises(ValueError):
+        SimpleGraph._of([{2}, set()])  # 2 is out of range
+    with pytest.raises(ValueError):
+        SimpleGraph._of([{1}, {0, -1}])  # -1 would wrap around to 1
+
+
+def test_graph_from_rows_equals_and_hashes_like_from_edges():
+    rows = SimpleGraph._of(BOWTIE.adjacency())
+    assert rows == BOWTIE and hash(rows) == hash(BOWTIE)
+    assert rows.edges == BOWTIE.edges and repr(rows) == repr(BOWTIE)
+    assert SimpleGraph._of([set(), set()]) == SimpleGraph(2) != SimpleGraph(3)
+
+
+def test_adjacency_returns_copies():
+    g = SimpleGraph(3, [(0, 1), (1, 2)])
+    adj = g.adjacency()
+    adj[0].add(2)
+    adj[2].clear()
+    adj.append({0})
+    assert g == SimpleGraph(3, [(0, 1), (1, 2)])
+    assert not g.has_edge(0, 2) and g.has_edge(2, 1)
+    assert g.degrees() == [1, 2, 1] and g.adjacency() == [{1}, {0, 2}, {1}]
+
+
 def test_degrees_and_adjacency():
     assert BOWTIE.degrees() == [4, 2, 2, 2, 2]
     adj = BOWTIE.adjacency()
