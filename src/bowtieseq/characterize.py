@@ -71,12 +71,26 @@ class SigmaReport:
     witness: DegreeSequence
 
 
+# the reports that carry no parameters: frozen, so one of each is shared
+_ACCEPTED = CheckReport(graphic=True, potentially=True, failure=None)
+_NOT_GRAPHIC = CheckReport(graphic=False, potentially=False, failure=Failure.NOT_GRAPHIC)
+_TOO_SHORT = CheckReport(graphic=True, potentially=False, failure=Failure.TOO_SHORT)
+_COND1 = CheckReport(graphic=True, potentially=False, failure=Failure.COND1)
+_COND2 = CheckReport(graphic=True, potentially=False, failure=Failure.COND2)
+_COND3 = CheckReport(graphic=True, potentially=False, failure=Failure.COND3)
+_COND5 = CheckReport(graphic=True, potentially=False, failure=Failure.COND5)
+_COND6 = CheckReport(graphic=True, potentially=False, failure=Failure.COND6)
+
+
 def matches_cond3(seq: DegreeSequence) -> bool:
-    """Exact match against (n-2, n-2, 2^(n-2)) for n >= 6."""
-    n = len(seq)
-    if n < 6:
-        return False
-    return seq.terms == (n - 2, n - 2) + (2,) * (n - 2)
+    """Exact match against (n-2, n-2, 2^(n-2)) for n >= 6.
+
+    The terms are nonincreasing and positive, so the two ends of the run of
+    twos pin all of it.
+    """
+    t = seq.terms
+    n = len(t)
+    return n >= 6 and t[0] == t[1] == n - 2 and t[2] == t[-1] == 2
 
 
 def matches_cond4(seq: DegreeSequence) -> tuple[int, int] | None:
@@ -84,18 +98,21 @@ def matches_cond4(seq: DegreeSequence) -> tuple[int, int] | None:
 
     The first term pins k = n - d1 and the second pins i = d2 - k, so a
     matching (k, i) is unique (hence trivially the lexicographically first).
+    The terms are nonincreasing and positive, so the rest matches when the
+    run of twos starts and ends where the pattern puts it and the run of
+    ones, if any, starts there too: nothing below 1 can follow it.
     """
-    n = len(seq)
+    t = seq.terms
+    n = len(t)
     if n < 5:
         return None
-    k = n - seq[0]
+    k = n - t[0]
     if k < 1 or k > (n - 1) // 2 - 1:
         return None
-    i = seq[1] - k
+    i = t[1] - k
     if i < 3 or i > n - 2 * k:
         return None
-    pattern = (n - k, k + i) + (2,) * i + (1,) * (n - i - 2)
-    if seq.terms == pattern:
+    if t[2] == t[i + 1] == 2 and (i + 2 == n or t[i + 2] == 1):
         return (k, i)
     return None
 
@@ -107,7 +124,7 @@ def check_potentially(seq: DegreeSequence) -> CheckReport:
     records the first failure only.
     """
     if not is_graphic(seq):
-        return CheckReport(graphic=False, potentially=False, failure=Failure.NOT_GRAPHIC)
+        return _NOT_GRAPHIC
     return _rule_report(seq)
 
 
@@ -116,17 +133,20 @@ def _rule_report(seq: DegreeSequence) -> CheckReport:
 
     ``check_potentially`` reaches this after its own graphicality test; the
     verify enumerator calls it directly on sequences it has proved graphic,
-    so each is proved graphic once.
+    so each is proved graphic once.  Every outcome but rule 4, which
+    carries its (k, i), is one shared report: a module constant, which
+    ``CheckReport`` being frozen makes safe to hand out.
     """
-    n = len(seq)
+    t = seq.terms
+    n = len(t)
     if n < 5:
-        return CheckReport(graphic=True, potentially=False, failure=Failure.TOO_SHORT)
-    if seq[0] < 4:
-        return CheckReport(graphic=True, potentially=False, failure=Failure.COND1)
-    if seq[4] < 2:
-        return CheckReport(graphic=True, potentially=False, failure=Failure.COND2)
+        return _TOO_SHORT
+    if t[0] < 4:
+        return _COND1
+    if t[4] < 2:
+        return _COND2
     if matches_cond3(seq):
-        return CheckReport(graphic=True, potentially=False, failure=Failure.COND3)
+        return _COND3
     ki = matches_cond4(seq)
     if ki is not None:
         return CheckReport(
@@ -136,11 +156,11 @@ def _rule_report(seq: DegreeSequence) -> CheckReport:
             cond4_k=ki[0],
             cond4_i=ki[1],
         )
-    if n == 6 and seq.terms == (4, 2, 2, 2, 2, 2):
-        return CheckReport(graphic=True, potentially=False, failure=Failure.COND5)
-    if n == 7 and seq.terms == (4, 2, 2, 2, 2, 2, 2):
-        return CheckReport(graphic=True, potentially=False, failure=Failure.COND6)
-    return CheckReport(graphic=True, potentially=True, failure=None)
+    if t == (4, 2, 2, 2, 2, 2):
+        return _COND5
+    if t == (4, 2, 2, 2, 2, 2, 2):
+        return _COND6
+    return _ACCEPTED
 
 
 def sigma_closed_form(n: int) -> int:

@@ -25,7 +25,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .sequences import DegreeSequence, _quote, format_sequence
 
@@ -211,26 +211,33 @@ def attach_by_degrees(graph: SimpleGraph, neighbour_degrees: Iterable[int]) -> S
     return SimpleGraph(len(degrees) + 1, edges)
 
 
-def _erdos_gallai_ok(residual: Iterable[int]) -> bool:
-    """Whether the residual demands (zeros allowed) extend to a simple graph.
+def _erdos_gallai_ok(residual: Sequence[int]) -> bool:
+    """Whether the residual demands (zeros allowed, any order) extend to a
+    simple graph.
 
-    If any Erdős–Gallai inequality fails, one fails where a run of equal
-    degrees ends (Tripathi & Vijay, Discrete Math. 2003), so only those k
-    are tested, and the tail sum is skipped where prefix <= k(k-1) holds
-    on its own.  The answer is the one the full set of inequalities gives.
-    It is the graphicality proof of the walk's prune and of the verify
-    module's enumerator.  The oracle and the placement search need none:
+    The parity of the sum is tested first: it refutes about half of the
+    verify module's candidates before anything is sorted.  The positive
+    demands are the m sorted ones left once the zeros are trimmed from the
+    tail.  If any Erdős–Gallai inequality fails, one fails where a run of
+    equal degrees ends (Tripathi & Vijay, Discrete Math. 2003), so only
+    those k are tested, and the tail sum is skipped where prefix <= k(k-1)
+    holds on its own.  The last run ends at k = m, where the inequality,
+    total <= m(m-1), follows from the test that no term exceeds m - 1.  The
+    answer is the one the full set of inequalities gives.  It is the
+    graphicality proof of the walk's prune and of the verify module's
+    enumerator.  The oracle and the placement search need none:
     ``_complete`` decides graphicality as it builds the realization.
     """
-    degs = sorted(residual, reverse=True)
-    degs.append(0)  # sentinel: closes the last run and bounds the positives
-    if sum(degs) % 2 != 0:
+    if sum(residual) % 2:
         return False
-    m = degs.index(0)
+    degs = sorted(residual, reverse=True)
+    m = len(degs)
+    while m and not degs[m - 1]:
+        m -= 1
     if m and degs[0] >= m:
         return False
     prefix = 0
-    for k in range(1, m + 1):
+    for k in range(1, m):
         d = degs[k - 1]
         prefix += d
         if d == degs[k] or prefix <= k * (k - 1):
@@ -332,19 +339,21 @@ def _placements(terms: tuple[int, ...]) -> Iterator[tuple[list[int], list[tuple[
 def _complete(
     terms: tuple[int, ...], bowtie: list[int], inner: list[tuple[int, int]]
 ) -> list[set[int]] | None:
-    """A realization of ``terms`` that holds the edges ``inner`` placed on
-    the vertices ``bowtie``, as neighbour sets (the form
+    """A realization of the nonincreasing ``terms`` that holds the edges
+    ``inner`` placed on the vertices ``bowtie``, as neighbour sets (the form
     ``SimpleGraph.adjacency`` returns and ``_least_bowtie`` reads), or None
     if there is none.  With nothing placed it is Havel–Hakimi's realization,
     so it is None exactly when the terms are not graphic.
 
     The outside vertices wait in one list, stably sorted by remaining
-    demand, largest first.  Each bowtie vertex in turn, then the front
-    vertex of the list, takes the ``need`` vertices of largest demand after
-    it, and fails if fewer than ``need`` have demand left.  In the block of
-    equal demand where the picks end it takes the last members, so the list
-    stays sorted once their demands drop; vertices whose demand reaches
-    zero are trimmed from its tail.
+    demand, largest first; with nothing placed that is the vertices in
+    order.  Each bowtie vertex in turn, then the front vertex of the list,
+    takes the ``need`` vertices of largest demand after it, and fails if
+    fewer than ``need`` have demand left.  In the block of equal demand
+    where the picks end it takes the last members, so the list stays sorted
+    once their demands drop; vertices whose demand reaches zero are then at
+    its tail, and a walk back from the end trims them (the end only moves
+    down, so the walks cost linear time in all).
 
     This is exact, by a switching argument.  If a realization holds the
     placement and joins a bowtie vertex v to an outside vertex x but not to
@@ -369,8 +378,12 @@ def _complete(
         short[v] += 1
     key = short.__getitem__
     # the bowtie vertices lay off first, then each outside vertex from the
-    # front; order[:size] is what the trimming leaves
-    order = bowtie + sorted([v for v in range(len(terms)) if v not in bowtie], key=key)
+    # front; order[:size] is what the trimming leaves.  Nonincreasing terms
+    # are already sorted when nothing is placed
+    if bowtie:
+        order = bowtie + sorted([v for v in range(len(terms)) if v not in bowtie], key=key)
+    else:
+        order = list(range(len(terms)))
     size = len(order)
     for at, u in enumerate(order):
         need = -short[u]
@@ -391,7 +404,8 @@ def _complete(
         for v in picks:
             adj[v].add(u)
             short[v] += 1
-        size = bisect_left(order, 0, first, size, key=key)  # trim the zeros
+        while size > first and not short[order[size - 1]]:  # trim the zeros
+            size -= 1
     return adj
 
 

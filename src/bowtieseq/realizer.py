@@ -13,10 +13,11 @@ exact is in ``graphs._complete``.
 
 The search comes before the decision.  A completed placement is a
 realization, so it proves the sequence graphic, and only the rules
-(``characterize._rule_report``) run on it; the quadratic lay-off test
-behind ``check_potentially`` runs only once a placement fails to complete,
-to tell a rejected sequence (NotPotentially) from one that a later
-placement realizes.
+(``characterize._rule_report``) run on it.  Once the first placement
+fails to complete, the kernel with nothing placed (Havel–Hakimi) decides
+graphicality and the rules run after it, to tell a rejected sequence
+(NotPotentially) from one that a later placement realizes; the quadratic
+lay-off test behind ``check_potentially`` is not on this path.
 
 The result must have exactly the input degrees and the placed bowtie's six
 edges.  A failed validation, rules that reject a sequence just realized
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
 
-from .characterize import _rule_report, check_potentially
+from .characterize import Failure, _rule_report, check_potentially
 from .graphs import SimpleGraph, TraceMismatch, _complete, _placements, attach_by_degrees
 from .sequences import DegreeSequence, LayoffTrace, _quote, format_sequence
 
@@ -189,20 +190,26 @@ def realize_with_bowtie(seq: DegreeSequence) -> SimpleGraph:
 
     Certificate first: the placements are tried before any decision.  A
     completed placement proves the sequence graphic, so only the rules
-    (``_rule_report``) run on it, not the quadratic lay-off test.
-    ``check_potentially`` runs once, when the first placement fails to
-    complete (or there is none); if it rejects, NotPotentially names the
-    failure, and otherwise the first placement left that completes is
-    taken.  For accepted input the construction always succeeds.
-    InternalExhaustion means the library itself is wrong: the rules reject
-    a sequence just realized with a bowtie, an accepted sequence has no
-    placement, or the graph fails its final validation.
+    (``_rule_report``) run on it, not the quadratic lay-off test.  When the
+    first placement fails to complete (or there is none), the sequence is
+    decided once, as ``check_potentially`` decides it but with the kernel's
+    Havel–Hakimi pass as the graphicality test; if that rejects,
+    NotPotentially names the failure, and otherwise the first placement
+    left that completes is taken.  For accepted input the construction
+    always succeeds.  InternalExhaustion means the library itself is wrong:
+    the rules reject a sequence just realized with a bowtie, an accepted
+    sequence has no placement, or the graph fails its final validation.
     """
     terms = seq.terms
     pairs = ((inner, _complete(terms, bowtie, inner)) for bowtie, inner in _placements(terms))
     inner, adj = next(pairs, ([], None))
     if adj is None:
-        failure = check_potentially(seq).failure
+        # Havel–Hakimi proves the sequence graphic in linear time, where the
+        # lay-off test behind check_potentially is quadratic
+        if _complete(terms, [], []) is None:
+            failure = Failure.NOT_GRAPHIC
+        else:
+            failure = _rule_report(seq).failure
         if failure is not None:
             raise NotPotentially(
                 f"{_quote(format_sequence(seq))} is not potentially bowtie-graphic"

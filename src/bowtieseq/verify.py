@@ -90,12 +90,12 @@ def enumerate_graphic_sequences(n: int) -> Iterator[DegreeSequence]:
     ``combinations_with_replacement`` yields in exactly that order; each is
     proved graphic by the Erdős–Gallai test (odd sums fail it at once)
     before a DegreeSequence is built for it, without sorting it again.
+    ``filter`` and ``map`` keep the loop in C: no Python frame per candidate.
     """
     if n < 1:
-        return
-    for terms in combinations_with_replacement(range(n - 1, 0, -1), n):
-        if _erdos_gallai_ok(terms):
-            yield DegreeSequence._from_sorted(terms)
+        return iter(())
+    candidates = combinations_with_replacement(range(n - 1, 0, -1), n)
+    return map(DegreeSequence._from_sorted, filter(_erdos_gallai_ok, candidates))
 
 
 def _check_range(n: int) -> None:

@@ -88,3 +88,57 @@ def nonincreasing_positive_sequences(n: int, max_term: int):
             prefix.pop()
 
     yield from extend([], n, max_term)
+
+
+def lay_off_completion(
+    terms: tuple[int, ...], bowtie: list[int], inner: list[tuple[int, int]]
+) -> list[set[int]] | None:
+    """The realization of ``terms`` that the documented lay-off builds
+    around the edges ``inner`` placed on the vertices ``bowtie``, as
+    neighbour sets, or None where a vertex finds too few partners.
+
+    Written from the statement, re-sorting at every step: the vertices
+    outside the bowtie wait in a list, sorted by remaining demand, largest
+    first, ties in vertex order to begin with.  Each bowtie vertex in turn,
+    then the front vertex of the list, is joined to the ``need`` vertices of
+    largest demand after it, and in the block of equal demand where the
+    picks end, to the last members of the block.  Each re-sort is stable,
+    so vertices of equal demand keep their order from the step before.
+    """
+    adj = [set() for _ in terms]
+    demand = list(terms)
+    for u, v in inner:
+        adj[u].add(v)
+        adj[v].add(u)
+        demand[u] -= 1
+        demand[v] -= 1
+
+    def by_demand(v: int) -> int:
+        return -demand[v]
+
+    def join(u: int, waiting: list[int]) -> bool:
+        need = demand[u]
+        live = [v for v in sorted(waiting, key=by_demand) if demand[v] > 0]
+        if need > len(live):
+            return False
+        if need:
+            least = demand[live[need - 1]]
+            above = [v for v in live if demand[v] > least]
+            block = [v for v in live if demand[v] == least]
+            for v in above + block[len(block) - (need - len(above)) :]:
+                adj[u].add(v)
+                adj[v].add(u)
+                demand[v] -= 1
+            demand[u] = 0
+        return True
+
+    waiting = sorted((v for v in range(len(terms)) if v not in bowtie), key=by_demand)
+    for u in bowtie:
+        if not join(u, waiting):
+            return None
+    while waiting:
+        waiting.sort(key=by_demand)
+        u = waiting.pop(0)
+        if not join(u, waiting):
+            return None
+    return adj

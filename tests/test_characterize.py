@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from _brute import erdos_gallai_graphic, nonincreasing_positive_sequences
+from _placement import neighbours, rule_shapes
 from bowtieseq import (
     CheckReport,
     DegreeSequence,
@@ -114,6 +115,39 @@ def test_cond4_fields_are_none_unless_condition4_fired():
     r = report("4,2^5")
     assert r.failure is Failure.COND5
     assert r.cond4_k is None and r.cond4_i is None
+
+
+def test_run_boundary_matchers_agree_with_the_literal_patterns():
+    # the matchers test only where the runs of twos and ones start and end;
+    # on every rule 3 or rule 4 shape, every sequence one step from one
+    # (graphic or not, positive terms) and every one a single term +-1 away
+    # (all of odd sum), they must answer what comparing the whole tuple with
+    # each literal pattern answers
+    checked = 0
+    for n in range(5, 31):
+        cond3 = (n - 2, n - 2) + (2,) * (n - 2)
+        cond4 = {
+            (n - k, k + i) + (2,) * i + (1,) * (n - i - 2): (k, i)
+            for k in range(1, (n - 1) // 2)
+            for i in range(3, n - 2 * k + 1)
+        }
+        seen = set()
+        for shape in rule_shapes(n):
+            odd = [
+                shape[:j] + (term + delta,) + shape[j + 1 :]
+                for j, term in enumerate(shape)
+                for delta in (-1, 1)
+            ]
+            for terms in (shape, *neighbours(shape), *odd):
+                terms = tuple(sorted(terms, reverse=True))
+                if terms[-1] < 1 or terms in seen:
+                    continue
+                seen.add(terms)
+                seq = DegreeSequence(terms)
+                assert matches_cond3(seq) == (n >= 6 and terms == cond3), terms
+                assert matches_cond4(seq) == cond4.get(terms), terms
+        checked += len(seen)
+    assert checked == 19503
 
 
 # ------------------------------------------------------------ conditions 5 and 6

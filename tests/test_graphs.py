@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import time
 import tracemalloc
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, islice, permutations
 from math import comb
 
 import pytest
@@ -17,6 +17,7 @@ from _brute import (
     brute_contains_bowtie,
     degree_multiset_census,
     erdos_gallai_graphic,
+    lay_off_completion,
     nonincreasing_positive_sequences,
 )
 from bowtieseq import (
@@ -546,6 +547,28 @@ def test_the_kernel_realizes_exactly_the_graphic_candidates():
                     completed += 1
     assert graphic == 10 + 1202  # n = 2..4, then the verify sweep's n = 5..8
     assert completed == 80276  # of 400 608 placements
+
+
+def test_the_kernel_builds_the_rows_of_the_documented_lay_off():
+    # not only whether a realization exists: the kernel's rows must be the
+    # ones the plain reference builds, which re-sorts at every step where the
+    # kernel keeps one list sorted by its tie rule and trims it from the
+    # tail.  With nothing placed on every graphic sequence up to n = 9; with
+    # every placement up to n = 7, and the first 12 placements of each
+    # sequence of length 8 and 9 (the full n <= 9 sweep, 3.4 million
+    # placements, runs in CI)
+    compared = 0
+    for n in range(1, 10):
+        for terms in nonincreasing_positive_sequences(n, n - 1):
+            if not erdos_gallai_graphic(list(terms)):
+                continue
+            assert _complete(terms, [], []) == lay_off_completion(terms, [], []), terms
+            placements = _placements(terms) if n <= 7 else islice(_placements(terms), 12)
+            for bowtie, inner in placements:
+                expected = lay_off_completion(terms, bowtie, inner)
+                assert _complete(terms, bowtie, inner) == expected, (terms, inner)
+                compared += 1
+    assert compared == 119 + 2554 + 35550 + 9537 + 36576
 
 
 @pytest.mark.parametrize("text", ["4^4,2", "3^2,1^2"])

@@ -7,6 +7,7 @@ from itertools import combinations, islice
 
 import pytest
 
+import bowtieseq.characterize as characterize_module
 import bowtieseq.cli as cli
 import bowtieseq.realizer as realizer_module
 from _brute import nonincreasing_positive_sequences
@@ -186,11 +187,15 @@ def test_failed_construction_raises_the_alarm(monkeypatch):
 
 
 def test_an_accepted_sequence_with_no_way_down_raises_the_alarm(monkeypatch):
-    # every completion refuted: the search tries each placement, then runs out
+    # every completion of a placement refuted: the search tries each
+    # placement, then runs out.  The pass with nothing placed is the
+    # graphicality proof, not a placement, so it is left alone
     seq = parse_sequence("5,3,2^9")
     completions = []
 
     def refute(terms, bowtie, inner):
+        if not bowtie:
+            return _complete(terms, bowtie, inner)
         completions.append(_complete(terms, bowtie, inner))
         return None
 
@@ -351,6 +356,28 @@ def test_realize_rejects_non_members():
         assert parse_sequence(text) in rejected, text
 
 
+def test_the_fallback_decides_without_the_lay_off_test(monkeypatch):
+    # once the first placement fails to complete the sequence is decided,
+    # with the kernel's Havel–Hakimi pass as the graphicality test: the
+    # quadratic lay-off test behind check_potentially never runs, on an
+    # accepted sequence realized by a later placement or a non-graphic one
+    def no_lay_off_test(seq):
+        raise AssertionError("realize_with_bowtie ran is_graphic")
+
+    monkeypatch.setattr(characterize_module, "is_graphic", no_lay_off_test)
+    accepted = ["10^2,4^5,2^4", "38^2,3,2^36,1"]
+    for text in accepted + ["6,2^5"]:
+        seq = parse_sequence(text)
+        bowtie, inner = next(_placements(seq.terms))
+        assert _complete(seq.terms, bowtie, inner) is None, text  # the fallback runs
+    for text in accepted:
+        seq = parse_sequence(text)
+        assert certificate_problem(realize_with_bowtie(seq), seq) is None, text
+    message = "'6,2^5' is not potentially bowtie-graphic (not_graphic)"
+    with pytest.raises(NotPotentially, match=re.escape(message)):
+        realize_with_bowtie(parse_sequence("6,2^5"))
+
+
 def test_rules_that_reject_a_realized_sequence_raise_the_alarm(monkeypatch):
     # a completed placement shows the sequence has a bowtie realization, so
     # rules that reject it would be falsified
@@ -363,12 +390,18 @@ def test_rules_that_reject_a_realized_sequence_raise_the_alarm(monkeypatch):
 def test_the_no_placement_alarm_quotes_a_long_sequence_briefly(monkeypatch, capsys):
     # accepted, yet no placement completes: the alarm names the sequence
     # through _quote, so its message and the CLI's stderr line stay short.
-    # Only the first three placements are tried: this sequence has trillions
+    # Only the first three placements are tried: this sequence has trillions.
+    # The decision is stubbed to accept: the pass with nothing placed proves
+    # graphicality and the rules accept
     seq = DegreeSequence(range(3000, 0, -1))
     accepted = CheckReport(graphic=True, potentially=True, failure=None)
     placements = _placements
-    monkeypatch.setattr(realizer_module, "check_potentially", lambda seq: accepted)
-    monkeypatch.setattr(realizer_module, "_complete", lambda terms, bowtie, inner: None)
+
+    def no_placement_completes(terms, bowtie, inner):
+        return None if bowtie else [set() for _ in terms]
+
+    monkeypatch.setattr(realizer_module, "_rule_report", lambda seq: accepted)
+    monkeypatch.setattr(realizer_module, "_complete", no_placement_completes)
     monkeypatch.setattr(realizer_module, "_placements", lambda terms: islice(placements(terms), 3))
     with pytest.raises(InternalExhaustion) as caught:
         realize_with_bowtie(seq)
