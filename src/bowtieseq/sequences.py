@@ -162,7 +162,10 @@ def parse_sequence(text: str) -> DegreeSequence:
         if len(terms) + count > MAX_PARSED_TERMS:
             raise ParseError(f"more than {MAX_PARSED_TERMS} terms")
         terms.extend([degree] * count)
-    return DegreeSequence(terms)
+    # _positive has checked every degree, so the constructor's checks would
+    # only repeat themselves
+    terms.sort(reverse=True)
+    return DegreeSequence._from_sorted(tuple(terms))
 
 
 def format_sequence(seq: DegreeSequence) -> str:
@@ -222,6 +225,15 @@ def is_graphic(seq: DegreeSequence) -> bool:
     Total function: False when the sum is odd, when any term reaches the
     length, or when repeated lay-off gets stuck; True otherwise (and for
     the empty sequence).  The repeated lay-off is the normative test.
+
+    One list is laid off in place.  At the top of each step it is
+    nonincreasing and positive, as the sequence's terms are.  The step pops
+    the smallest term d, decrements the first d terms and re-sorts (C code,
+    linear on a list this close to sorted).  Every term was at least 1, so a
+    zero can only be a decremented 1 (which happens once every term left is
+    1); nothing else is smaller, so the sort puts every zero at the tail,
+    and popping the trailing zeros drops all of them and restores the
+    invariant.
     """
     terms = list(seq.terms)
     if sum(terms) % 2 != 0:
@@ -229,11 +241,12 @@ def is_graphic(seq: DegreeSequence) -> bool:
     if terms and terms[0] >= len(terms):
         return False
     while terms:
-        terms.sort(reverse=True)
         d = terms.pop()
         if d > len(terms):
             return False
         for i in range(d):
             terms[i] -= 1
-        terms = [t for t in terms if t > 0]
+        terms.sort(reverse=True)
+        while terms and not terms[-1]:
+            terms.pop()
     return True

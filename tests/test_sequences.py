@@ -234,6 +234,31 @@ def test_is_graphic_agrees_with_erdos_gallai_on_random_sequences():
         assert is_graphic(DegreeSequence(terms)) == erdos_gallai_graphic(terms), terms
 
 
+def test_is_graphic_agrees_with_erdos_gallai_exhaustively_and_at_scale():
+    # every candidate up to length 10, then long sequences of mostly 1s and
+    # 2s under a few hubs: once the hubs are laid off, each lay-off of a 1
+    # turns the head term into a 1 or a 0, which the re-sort must move to
+    # the tail before the next smallest term is taken
+    for n in range(2, 11):
+        for terms in nonincreasing_positive_sequences(n, n - 1):
+            assert is_graphic(DegreeSequence(terms)) == erdos_gallai_graphic(list(terms)), terms
+    rng = random.Random(24031)
+    verdicts = []
+    for spread in (2, 5) * 6:  # hub degrees that are mostly graphic, mostly not
+        n = int(200 * 15 ** rng.random())  # 200..2999, log-uniform
+        hubs = rng.randint(0, 30)
+        top = min(n - 1, spread * n // (hubs + 1))  # below n: no early exit
+        terms = [rng.randint(3, top) for _ in range(hubs)]
+        terms += rng.choices((1, 2), k=n - hubs)
+        if sum(terms) % 2:  # an odd sum would exit before the first lay-off
+            terms[-1] = 3 - terms[-1]
+        terms.sort(reverse=True)
+        graphic = erdos_gallai_graphic(terms)
+        assert is_graphic(DegreeSequence(terms)) == graphic, (n, hubs, terms[:hubs])
+        verdicts.append(graphic)
+    assert verdicts.count(True) >= 3 and verdicts.count(False) >= 3, verdicts
+
+
 def test_lay_off_preserves_graphicality_spot_checks():
     for text in ("4^2,2^3", "5,3,2^5", "4,3^4", "3^4", "6,5,2^5,1"):
         s = parse_sequence(text)
