@@ -385,11 +385,14 @@ def _complete(
     else:
         order = list(range(len(terms)))
     size = len(order)
+    placed = len(bowtie)
     for at, u in enumerate(order):
+        if at >= size:  # every vertex past the trimmed end has no demand left
+            break
         need = -short[u]
         if not need:
             continue
-        first = at + 1 if at >= len(bowtie) else len(bowtie)  # candidates from here
+        first = at + 1 if at >= placed else placed  # candidates from here
         end = first + need
         if end > size:
             return None

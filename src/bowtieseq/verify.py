@@ -5,7 +5,10 @@ positive terms, runs the six-condition decision procedure on each, and
 compares against the rules-free oracle of the graphs module.
 It also recomputes the extremal degree-sum threshold empirically: the
 smallest even bound such that every graphic sequence at or above it is
-accepted.  Each sweep enumerates the sequences of its length once.
+accepted.  Neither keeps a list of the sequences: the comparison
+enumerates them once, and the threshold streams the candidates twice, a
+rules pass over every graphic sequence and an oracle pass over the two
+boundary sums, so its memory does not grow with the sweep.
 
 Graphicality is proved by the Erdős–Gallai test of the graphs module: the
 enumerator keeps only the candidates that pass it, the rules then run on
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress
 
 from .characterize import SigmaReport, _rule_report
 from .graphs import _erdos_gallai_ok, oracle_has_bowtie_realization
@@ -94,8 +97,13 @@ def enumerate_graphic_sequences(n: int) -> Iterator[DegreeSequence]:
     """
     if n < 1:
         return iter(())
-    candidates = combinations_with_replacement(range(n - 1, 0, -1), n)
-    return map(DegreeSequence._from_sorted, filter(_erdos_gallai_ok, candidates))
+    return map(DegreeSequence._from_sorted, filter(_erdos_gallai_ok, _candidates(n)))
+
+
+def _candidates(n: int) -> Iterator[tuple[int, ...]]:
+    """The nonincreasing n-tuples over n-1..1, in decreasing lexicographic
+    order: every graphic length-n sequence with positive terms, and more."""
+    return combinations_with_replacement(range(n - 1, 0, -1), n)
 
 
 def _check_range(n: int) -> None:
@@ -132,26 +140,36 @@ def sigma_empirical(n: int) -> SigmaReport:
     boundary (that sum and the next even value) is then re-decided by the
     exhaustive oracle so the reported threshold does not rest on the
     decision procedure alone.  Raises CharacterizationMismatch if the
-    boundary check disagrees.  The sequences are enumerated and decided
-    once; the boundary pass reuses those verdicts.
+    boundary check disagrees.
+
+    Two streamed passes keep no list of sequences.  The first runs the
+    rules once on each graphic sequence and keeps the witness, its sum and
+    the rejected sequences of that sum.  The second scans the candidates
+    again and proves graphic only those of the two boundary sums; their
+    rules' verdict is known without a second run: rejected exactly for the
+    kept sequences, since every graphic sequence of a larger sum is
+    accepted.
     """
     _check_range(n)
-    scanned = [
-        (seq, sigma(seq), _rule_report(seq).potentially)
-        for seq in enumerate_graphic_sequences(n)
-    ]
     worst_sum = -1
     worst: DegreeSequence | None = None
-    for seq, total, accepted in scanned:
-        if not accepted and total > worst_sum:
-            worst_sum = total
-            worst = seq
+    rejected: set[tuple[int, ...]] = set()  # the rejected terms of sum worst_sum
+    for seq in enumerate_graphic_sequences(n):
+        if _rule_report(seq).potentially:
+            continue
+        total = sigma(seq)
+        if total > worst_sum:
+            worst_sum, worst, rejected = total, seq, {seq.terms}
+        elif total == worst_sum:
+            rejected.add(seq.terms)
     if worst is None:  # cannot happen for n >= 5, guarded for safety
         raise CharacterizationMismatch(f"no rejected sequence of length {n} found")
     bound = worst_sum + 2
-    for seq, total, checker in scanned:
-        if total not in (worst_sum, bound):
-            continue
+    # the sum filter runs in C, over a second copy of the candidate stream
+    at_boundary = map((worst_sum, bound).__contains__, map(sum, _candidates(n)))
+    for terms in filter(_erdos_gallai_ok, compress(_candidates(n), at_boundary)):
+        seq = DegreeSequence._from_sorted(terms)
+        checker = terms not in rejected
         oracle = oracle_has_bowtie_realization(seq)
         if checker != oracle:
             raise CharacterizationMismatch(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 import bowtieseq.characterize as characterize_module
@@ -134,6 +136,37 @@ def test_threshold_enumerates_the_sequences_once(monkeypatch):
     monkeypatch.setattr(verify_module, "enumerate_graphic_sequences", counted)
     assert sigma_empirical(7).bound == 24
     assert calls == [7]
+
+
+def test_threshold_redecides_both_boundary_sums_with_the_oracle(monkeypatch):
+    # the largest rejected sum at n = 8 is 26: the oracle re-decides every
+    # graphic sequence of sum 26 or 28, each once, in enumeration order
+    calls = []
+
+    def counted(seq):
+        calls.append(seq.terms)
+        return graphs_module.oracle_has_bowtie_realization(seq)
+
+    monkeypatch.setattr(verify_module, "oracle_has_bowtie_realization", counted)
+    assert sigma_empirical(8).bound == 28
+    boundary = [
+        terms
+        for terms in nonincreasing_positive_sequences(8, 7)
+        if sum(terms) in (26, 28) and erdos_gallai_graphic(list(terms))
+    ]
+    assert len(boundary) == 155
+    assert calls == boundary
+
+
+def test_threshold_memory_does_not_grow_with_the_sweep():
+    # 11 655 graphic sequences at n = 10: a list of them takes megabytes
+    tracemalloc.start()
+    try:
+        assert sigma_empirical(10).bound == 36
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 def test_threshold_range_is_guarded():
