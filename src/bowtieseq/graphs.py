@@ -4,14 +4,15 @@ Provides the graph type (one neighbour set per vertex), degree extraction,
 bowtie detection, the step that adds one vertex by its neighbours' degrees
 (a lay-off run in reverse), the bowtie placement search and its oracle.
 The oracle is deliberately independent of the rule-based decision procedure
-in the characterize module so the two can cross-validate each other.  One
-lay-off kernel, ``_complete``, builds every realization: with nothing
-placed it is Havel–Hakimi's, which proves the input graphic and, when it
-holds a bowtie, certifies a "yes"; otherwise a bowtie placement that it
-completes certifies the "yes", and a "no" means no placement completes.
-The realizer builds its realizations with the same search.  The exhaustive
-enumerator of labelled realizations for small sequences is on no library
-path: it is the reference the search is tested against.
+in the characterize module so the two can cross-validate each other.  The
+bowtie placements are enumerated once, by value (``_choices``).  The oracle
+decides each one on degrees alone, after Erdős–Gallai has proved the input
+graphic: "yes" when some placement completes to a realization, "no" when
+none does; it builds no graph.  The realizer puts the placements on
+vertices (``_placements``) and builds the first that completes with the one
+lay-off kernel, ``_complete``.  The exhaustive enumerator of labelled
+realizations for small sequences is on no library path: it is the
+reference the search is tested against.
 
 A bowtie is two triangles sharing one vertex: a centre c with four distinct
 neighbours a, b, d, e such that ab and de are edges.  Equivalently it is the
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -144,7 +145,7 @@ def degree_sequence(graph: SimpleGraph) -> DegreeSequence:
 
 def _least_bowtie(adj: list[set[int]]) -> tuple[int, tuple[int, int], tuple[int, int]] | None:
     """The least bowtie in neighbour sets (adj[u] is the set of u's
-    neighbours) as (center, wing1, wing2): the oracle needs no witness.
+    neighbours) as (center, wing1, wing2), for ``contains_bowtie``.
 
     Centres go in increasing order; for each, the wing pairs (a, b), a < b,
     in lexicographic order, and the first with a vertex-disjoint later pair
@@ -224,9 +225,9 @@ def _erdos_gallai_ok(residual: Sequence[int]) -> bool:
     holds on its own.  The last run ends at k = m, where the inequality,
     total <= m(m-1), follows from the test that no term exceeds m - 1.  The
     answer is the one the full set of inequalities gives.  It is the
-    graphicality proof of the walk's prune and of the verify module's
-    enumerator.  The oracle and the placement search need none:
-    ``_complete`` decides graphicality as it builds the realization.
+    graphicality proof of the oracle, of each placement it decides, of the
+    walk's prune and of the verify module's enumerator.  The realizer needs
+    none: ``_complete`` decides graphicality as it builds the realization.
     """
     if sum(residual) % 2:
         return False
@@ -288,52 +289,84 @@ def enumerate_realizations(seq: DegreeSequence) -> Iterator[SimpleGraph]:
     yield from walk(0, list(seq.terms), [])
 
 
+# the cross edges ad, ae, bd and be, as positions in a pairing (a, b, d, e)
+_CROSS = ((0, 2), (0, 3), (1, 2), (1, 3))
+
+
 @cache
-def _cross_subsets(room: tuple[int, ...]) -> tuple[int, ...]:
-    """The subsets of the cross edges ad, ae, bd and be, as bits 0..3 of a
-    mask from all four down, that leave wings a, b, d and e at most room[i]
-    cross edges each.  Wing a's cross edges are the bits of 3, b's of 12,
-    d's of 5 and e's of 10."""
-    return tuple(
-        mask
-        for mask in range(15, -1, -1)
-        if all(bin(mask & bits).count("1") <= r for bits, r in zip((3, 12, 5, 10), room))
-    )
+def _layouts(
+    room: tuple[int, int, int, int]
+) -> tuple[tuple[tuple[int, int, int, int], int, tuple[int, int, int, int]], ...]:
+    """Every way to lay out wings w, x, y and z that may take room[i] cross
+    edges each, as (pairing, mask, inside): each of the three pairings
+    (a, b, d, e), as positions into (w, x, y, z), then each subset of the
+    cross edges that fits the room, as bits 0..3 of a mask from all four
+    down, and the degree each of w, x, y and z then has inside the bowtie."""
+    found = []
+    for pairing in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)):
+        for mask in range(15, -1, -1):
+            inside = [2, 2, 2, 2]
+            for bit, ends in enumerate(_CROSS):
+                if mask >> bit & 1:
+                    for end in ends:
+                        inside[pairing[end]] += 1
+            if all(i - 2 <= r for i, r in zip(inside, room)):
+                found.append((pairing, mask, tuple(inside)))
+    return tuple(found)
+
+
+@lru_cache(maxsize=1024)  # its keys are degrees, unbounded in number
+def _arrangements(
+    wings: tuple[int, int, int, int]
+) -> tuple[tuple[tuple[int, int, int, int], int, tuple[int, int, int, int]], ...]:
+    """The ``_layouts`` of wings of the degrees ``wings``: a wing of degree
+    t takes at most t - 2 cross edges (and no wing has more than two)."""
+    return _layouts(tuple(min(t - 2, 2) for t in wings))
+
+
+def _choices(terms: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...], tuple]]:
+    """Every bowtie placement up to equal degrees that the degrees allow, by
+    value, as (centre, wings, arrangements): each centre value >= 4 and each
+    multiset of four wing values >= 2 among the other terms, nonincreasing,
+    both from the largest values down, with the ``_arrangements`` of those
+    wings.  Without a term >= 4 and four more >= 2 there is none."""
+    for centre in dict.fromkeys(terms):  # the values, largest first
+        if centre < 4:
+            return
+        rest = list(terms)
+        rest.remove(centre)
+        # at most four of a value: a term is kept unless the one four places
+        # before it is equal
+        values = [t for t, before in zip(rest, (0, 0, 0, 0, *rest)) if t != before and t >= 2]
+        # the combinations of a nonincreasing list come in decreasing
+        # lexicographic order; each multiset is taken at its first one
+        seen = set()
+        for wings in combinations(values, 4):
+            if wings not in seen:
+                seen.add(wings)
+                yield centre, wings, _arrangements(wings)
 
 
 def _placements(terms: tuple[int, ...]) -> Iterator[tuple[list[int], list[tuple[int, int]]]]:
-    """Every bowtie placement up to equal degrees that the degrees allow, as
-    (vertices c, a, b, d, e; edges): each centre value >= 4 and multiset of
-    four wing values >= 2, from the largest values down, each of the three
-    wing pairings, and each subset of the cross edges, from all four down,
-    that leaves a wing of degree t at most t - 2 of them.  Vertex i has degree
-    terms[i], and a value goes on the lowest free vertices of its class.
-    Without a vertex of degree >= 4 and four more of degree >= 2 there is
-    none."""
-    first: dict[int, int] = {}  # each value's lowest vertex, largest value first
+    """The ``_choices`` on vertices, as (vertices c, w, x, y, z; edges):
+    vertex i has degree terms[i], and each value goes on the lowest free
+    vertices of its class.  The edges are the bowtie's six, centre first,
+    then the cross edges of the mask."""
+    first: dict[int, int] = {}  # each value's lowest vertex
     for v, value in enumerate(terms):
         first.setdefault(value, v)
-    for centre in [value for value in first if value >= 4]:
+    for centre, wings, arrangements in _choices(terms):
         c = first[centre]
-        # the wing candidates: the lowest four vertices of each class but c
-        pool = [
-            v
-            for v, value in enumerate(terms)
-            if value >= 2 and v != c and v - first[value] < 4 + (value == centre)
+        # the j-th wing of a value skips the earlier ones, and c in its class
+        labels = [
+            first[value] + j - wings.index(value) + (value == centre)
+            for j, value in enumerate(wings)
         ]
-        placed: set[tuple[int, ...]] = set()  # the wing values placed so far
-        for w, x, y, z in combinations(pool, 4):
-            values = (terms[w], terms[x], terms[y], terms[z])
-            if values in placed:
-                continue
-            placed.add(values)
-            for a, b, d, e in ((w, x, y, z), (w, y, x, z), (w, z, x, y)):
-                star = [(c, a), (c, b), (c, d), (c, e), (a, b), (d, e)]
-                cross = ((a, d), (a, e), (b, d), (b, e))
-                # no wing takes more than two cross edges, so 3^4 rooms at most
-                room = tuple(min(terms[v] - 2, 2) for v in (a, b, d, e))
-                for mask in _cross_subsets(room):
-                    yield [c, w, x, y, z], star + [cross[j] for j in range(4) if mask >> j & 1]
+        for pairing, mask, _ in arrangements:
+            a, b, d, e = (labels[j] for j in pairing)
+            star = [(c, a), (c, b), (c, d), (c, e), (a, b), (d, e)]
+            cross = ((a, d), (a, e), (b, d), (b, e))
+            yield [c, *labels], star + [cross[j] for j in range(4) if mask >> j & 1]
 
 
 def _complete(
@@ -342,8 +375,10 @@ def _complete(
     """A realization of the nonincreasing ``terms`` that holds the edges
     ``inner`` placed on the vertices ``bowtie``, as neighbour sets (the form
     ``SimpleGraph.adjacency`` returns and ``_least_bowtie`` reads), or None
-    if there is none.  With nothing placed it is Havel–Hakimi's realization,
-    so it is None exactly when the terms are not graphic.
+    if there is none: the realizer's builder.  With nothing placed it is
+    Havel–Hakimi's realization, so it is None exactly when the terms are
+    not graphic.  The oracle decides the same question on degrees alone
+    (``_fits``), with no graph.
 
     The outside vertices wait in one list, stably sorted by remaining
     demand, largest first; with nothing placed that is the vertices in
@@ -367,7 +402,10 @@ def _complete(
     joined to either, so any tie rule is exact.  A bowtie in any
     realization is one of the ``_placements`` after relabelling equal
     degrees, so a graphic sequence has a realization with a bowtie exactly
-    when some placement completes.
+    when some placement completes.  What decides a placement is only the
+    demands: those the bowtie vertices lay off and the outside demands that
+    remain, which Havel–Hakimi, like Erdős–Gallai, accepts exactly when they
+    are graphic.
     """
     adj: list[set[int]] = [set() for _ in terms]
     short = [-t for t in terms]  # minus the remaining demands: a key in C
@@ -412,25 +450,51 @@ def _complete(
     return adj
 
 
+def _fits(outside: list[int], needs: tuple[int, ...]) -> bool:
+    """Whether bowtie vertices that still need ``needs`` outside neighbours
+    complete to a realization with outside vertices of the demands
+    ``outside`` (nonincreasing, positive): ``_complete``'s answer, decided
+    on degrees.  Each need in turn takes the largest demands left, as the
+    switching argument of ``_complete`` allows, and Erdős–Gallai decides
+    the outside demands that remain."""
+    demands = list(outside)
+    for need in needs:
+        if not need:
+            continue
+        if need > len(demands):
+            return False
+        for j in range(need):
+            demands[j] -= 1
+        demands.sort(reverse=True)
+        while demands and not demands[-1]:
+            demands.pop()
+    return not demands or _erdos_gallai_ok(demands)
+
+
 def oracle_has_bowtie_realization(seq: DegreeSequence) -> bool:
     """Rules-free ground truth: does any realization contain a bowtie?
 
-    ``_complete`` with nothing placed comes first: its Havel–Hakimi
-    realization exists exactly when the input is graphic (NotGraphic
-    otherwise), and a bowtie in it is a concrete certificate for "yes".
-    Otherwise the placement search decides, exactly by the switching
-    argument of ``_complete``: "yes" when some placement completes to a
-    realization, "no" when none does.  Each step is polynomial, so it
-    answers at any length; the characterize module's rules are validated
-    against this oracle, so it uses none of them.
+    Erdős–Gallai proves the input graphic first (NotGraphic otherwise).
+    Then each bowtie placement of ``_choices``, in order, is decided on
+    degrees by ``_fits``: "yes" at the first one that completes to a
+    realization, "no" when none does.  That is exact by the switching
+    argument of ``_complete``, and no graph is built.  Graphicality must
+    come first: a non-graphic input with many distinct terms has
+    placements in the fifth power of their number.  Each step is
+    polynomial, so it answers at any length; the characterize module's
+    rules are validated against this oracle, so it uses none of them.
     """
     terms = seq.terms
-    certificate = _complete(terms, [], [])
-    if certificate is None:
+    if not _erdos_gallai_ok(terms):
         raise NotGraphic(f"{_quote(format_sequence(seq))} is not graphic")
-    if _least_bowtie(certificate) is not None:
-        return True
-    return any(_complete(terms, bowtie, inner) is not None for bowtie, inner in _placements(terms))
+    for centre, (w, x, y, z), arrangements in _choices(terms):
+        outside = list(terms)
+        for value in (centre, w, x, y, z):
+            outside.remove(value)
+        for _, _, (iw, ix, iy, iz) in arrangements:
+            if _fits(outside, (centre - 4, w - iw, x - ix, y - iy, z - iz)):
+                return True
+    return False
 
 
 def _witness_header(witness: BowtieWitness) -> str:

@@ -2,14 +2,13 @@
 
 ``realize_with_bowtie`` places the bowtie first: a centre c joined to wings
 a, b, d, e, with the wing edges ab and de and those of the cross edges ad,
-ae, bd and be that the wing degrees allow.  The placements and their
-completion are the rules-free search of the graphs module
-(``graphs._placements``, ``graphs._complete``), which the oracle also
-decides with: each bowtie vertex in turn joins the outside vertices of
-largest remaining demand, then Havel–Hakimi completes the outside, and the
-neighbour sets it returns become the graph's rows.  The first placement that
-completes is the realization; the switching argument that makes the search
-exact is in ``graphs._complete``.
+ae, bd and be that the wing degrees allow.  The placements are the
+oracle's, put on vertices (``graphs._placements``), and the lay-off kernel
+``graphs._complete`` completes them: each bowtie vertex in turn joins the
+outside vertices of largest remaining demand, then Havel–Hakimi completes
+the outside, and the neighbour sets it returns become the graph's rows.
+The first placement that completes is the realization; the switching
+argument that makes the search exact is in ``graphs._complete``.
 
 The search comes before the decision.  A completed placement is a
 realization, so it proves the sequence graphic, and only the rules

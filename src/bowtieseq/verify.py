@@ -12,19 +12,17 @@ boundary sums, so its memory does not grow with the sweep.
 
 Graphicality is proved by the Erdős–Gallai test of the graphs module: the
 enumerator keeps only the candidates that pass it, the rules then run on
-them without a second proof (``characterize._rule_report``).  The
-oracle runs no Erdős–Gallai test: its Havel–Hakimi realization exists
-exactly when its input is graphic.
+them without a second proof (``characterize._rule_report``).  The oracle
+proves it again with the same test, since it must answer on its own.
 The lay-off test ``sequences.is_graphic``, which ``check_potentially``
 runs before the rules, is not on this path, so the test suite checks it
 on its own.
 
-The oracle certifies a "yes" by its Havel–Hakimi realization when that
-holds a bowtie (most accepted sequences), or else by a bowtie placement that
-completes; a "no" means the rules-free placement search of the graphs
-module found no placement that completes (none at all for rules 1 and 2).
-No labelled realization is enumerated: that exhaustive walk is only the
-tests' reference.  The number of candidates grows as C(2n - 2, n), so a
+The oracle says "yes" at the first bowtie placement that its degree test
+completes, and "no" when the rules-free placement search of the graphs
+module finds none that completes (none to try at all for rules 1 and 2).
+It builds no graph, and no labelled realization is enumerated: that
+exhaustive walk is only the tests' reference.  The number of candidates grows as C(2n - 2, n), so a
 sweep is bounded by SWEEP_LIMIT (n = 12: 162 769 sequences).  The
 acceptance suite runs n = 5..11.
 """

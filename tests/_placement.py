@@ -2,11 +2,12 @@
 
     PYTHONPATH=src python tests/_placement.py MAX_N
 
-compares ``has_bowtie_realization`` with the decision rules on every rule 3
-or rule 4 shape of length 11..MAX_N and on every graphic neighbour of one,
-realizes each accepted one with ``realize_with_bowtie`` and checks the
-graph's certificate, and exits 1 on any disagreement or bad graph.  The
-acceptance suite runs MAX_N = 20; CI runs 30.
+compares ``has_bowtie_realization`` with the decision rules and with the
+oracle ``oracle_has_bowtie_realization`` on every rule 3 or rule 4 shape of
+length 11..MAX_N and on every graphic neighbour of one, realizes each
+accepted one with ``realize_with_bowtie`` and checks the graph's
+certificate, and exits 1 on any disagreement or bad graph.  The acceptance
+suite runs the same comparisons up to n = 20; CI runs MAX_N = 30.
 
 The decider uses nothing of the package, only the bowtie's definition, one
 switching argument and the Erdős–Gallai test of ``_brute``.  A bowtie is a
@@ -134,19 +135,24 @@ def rule_shape_neighbourhood(n: int) -> set[tuple[int, ...]]:
 
 
 def main(argv: list[str]) -> int:
-    # the rules and the realizer under test
+    # the rules, the oracle and the realizer under test
     from bowtieseq import DegreeSequence, check_potentially, realize_with_bowtie
+    from bowtieseq.graphs import oracle_has_bowtie_realization
     from realize_sweep import certificate_problem
 
     max_n = int(argv[0])
     started = time.monotonic()
     checked = realized = 0
     mismatches = []
+    oracle_mismatches = []
     for n in range(11, max_n + 1):
         for terms in sorted(rule_shape_neighbourhood(n)):
             seq = DegreeSequence(terms)
+            found = has_bowtie_realization(terms)
+            if oracle_has_bowtie_realization(seq) != found:
+                oracle_mismatches.append(f"oracle mismatch: {seq}")
             accepted = check_potentially(seq).potentially
-            if has_bowtie_realization(terms) != accepted:
+            if found != accepted:
                 mismatches.append(f"mismatch: {seq}")
             elif accepted:
                 problem = certificate_problem(realize_with_bowtie(seq), seq)
@@ -157,11 +163,12 @@ def main(argv: list[str]) -> int:
     elapsed = time.monotonic() - started
     print(
         f"n=11..{max_n} sequences={checked} realized={realized} "
-        f"mismatches={len(mismatches)} seconds={elapsed:.1f}"
+        f"mismatches={len(mismatches)} oracle_mismatches={len(oracle_mismatches)} "
+        f"seconds={elapsed:.1f}"
     )
-    for line in mismatches[:10]:
+    for line in (mismatches + oracle_mismatches)[:10]:
         print(line)
-    return 1 if mismatches else 0
+    return 1 if mismatches or oracle_mismatches else 0
 
 
 if __name__ == "__main__":

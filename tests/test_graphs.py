@@ -413,9 +413,10 @@ def test_oracle_matches_brute_force_over_all_small_sequences():
 _public_verdicts: list[tuple[DegreeSequence, bool]] = []
 
 
-def _assert_oracle_agrees_with_the_public_route():
-    # the oracle searches bowtie placements; the public route builds a graph
-    # per realization and runs contains_bowtie on it (computed once, shared)
+def _public_route_verdicts() -> list[tuple[DegreeSequence, bool]]:
+    # the oracle decides bowtie placements on degrees; the public route
+    # builds a graph per realization and runs contains_bowtie on it
+    # (computed once, shared)
     if not _public_verdicts:
         for n in range(5, 9):
             for terms in nonincreasing_positive_sequences(n, n - 1):
@@ -425,26 +426,27 @@ def _assert_oracle_agrees_with_the_public_route():
                     expected = any(contains_bowtie(g) is not None for g in realizations)
                     _public_verdicts.append((seq, expected))
     assert len(_public_verdicts) == 1202
-    for seq, expected in _public_verdicts:
-        assert oracle_has_bowtie_realization(seq) == expected, seq
+    return _public_verdicts
 
 
 def test_oracle_agrees_with_the_public_enumeration_and_detector():
-    _assert_oracle_agrees_with_the_public_route()
-
-
-def test_the_search_alone_decides_every_sequence(monkeypatch):
-    # an edgeless certificate holds no bowtie, so every "yes" must come from
-    # a placement that completes (None would mean "not graphic")
-    def complete(terms, bowtie, inner):
-        return _complete(terms, bowtie, inner) if inner else [set() for _ in terms]
-
-    monkeypatch.setattr(graphs_module, "_complete", complete)
-    _assert_oracle_agrees_with_the_public_route()
+    for seq, expected in _public_route_verdicts():
+        assert oracle_has_bowtie_realization(seq) == expected, seq
 
 
 def _forbidden(*args):
     raise AssertionError(f"called on {args}")
+
+
+def test_the_search_alone_decides_every_sequence(monkeypatch):
+    # the oracle decides each placement on degrees: with the lay-off kernel,
+    # the bowtie search and the graph type made to fail, it still agrees
+    # with the public route on every sequence
+    verdicts = _public_route_verdicts()
+    for name in ("_complete", "_least_bowtie", "SimpleGraph", "enumerate_realizations"):
+        monkeypatch.setattr(graphs_module, name, _forbidden)
+    for seq, expected in verdicts:
+        assert oracle_has_bowtie_realization(seq) == expected, seq
 
 
 @pytest.mark.parametrize("text", ["3^10", "4^4,1^6", "4^2,2^2,1^2", "4,2^3,1^2"])
@@ -455,6 +457,33 @@ def test_oracle_degree_gate_answers_without_walking(monkeypatch, text):
     assert list(_placements(seq.terms)) == []
     monkeypatch.setattr(graphs_module, "enumerate_realizations", _forbidden)
     assert oracle_has_bowtie_realization(seq) is False
+
+
+def _degree_tests(terms):
+    """The degree test of each vertex-level placement, in order: the outside
+    vertices' degrees, and what each bowtie vertex still needs outside."""
+    for bowtie, inner in _placements(terms):
+        inside = dict.fromkeys(bowtie, 0)
+        for u, v in inner:
+            inside[u] += 1
+            inside[v] += 1
+        outside = [t for v, t in enumerate(terms) if v not in inside]
+        yield outside, tuple(terms[v] - inside[v] for v in bowtie)
+
+
+def _spy_on_degree_tests(monkeypatch):
+    """Record the oracle's degree tests; building a graph fails."""
+    tried = []
+    original = graphs_module._fits
+
+    def fits(outside, needs):
+        tried.append((list(outside), tuple(needs)))
+        return original(outside, needs)
+
+    monkeypatch.setattr(graphs_module, "_fits", fits)
+    monkeypatch.setattr(graphs_module, "_complete", _forbidden)
+    monkeypatch.setattr(graphs_module, "enumerate_realizations", _forbidden)
+    return tried
 
 
 def _realizes(adj, terms):
@@ -469,23 +498,15 @@ def _realizes(adj, terms):
 
 @pytest.mark.parametrize("text", ["4^2,2^4", "4^2,2^3", "4,2^5", "4,2^6"])
 def test_oracle_walks_every_sequence_past_the_gate(monkeypatch, text):
-    # rules 3..6: these pass the degree gate, so each "no" comes from walking
-    # every bowtie placement and finding that none completes, after the
-    # certificate (nothing placed) holds no bowtie
+    # rules 3..6: these pass the degree gate, so each "no" comes from
+    # deciding every bowtie placement, in the order the realizer tries
+    # them, and finding that none completes
     seq = parse_sequence(text)
     assert not any(contains_bowtie(g) is not None for g in enumerate_realizations(seq))
-    tried = []
-    original = graphs_module._complete
-
-    def complete(terms, bowtie, inner):
-        tried.append((tuple(bowtie), tuple(inner)))
-        return original(terms, bowtie, inner)
-
-    monkeypatch.setattr(graphs_module, "_complete", complete)
-    monkeypatch.setattr(graphs_module, "enumerate_realizations", _forbidden)
+    tried = _spy_on_degree_tests(monkeypatch)
     assert oracle_has_bowtie_realization(seq) is False
-    walked = [(tuple(bowtie), tuple(inner)) for bowtie, inner in _placements(seq.terms)]
-    assert walked and tried == [((), ())] + walked
+    walked = list(_degree_tests(seq.terms))
+    assert walked and tried == walked
 
 
 def test_oracle_agrees_with_the_walk_without_walking(monkeypatch):
@@ -513,16 +534,21 @@ def test_oracle_agrees_with_the_walk_without_walking(monkeypatch):
         assert oracle_has_bowtie_realization(seq) == expected, seq
 
 
-@pytest.mark.parametrize("text", ["4,2^4", "4,3^2,2^2"])
-def test_oracle_says_yes_from_the_greedy_realization(monkeypatch, text):
-    # the Havel–Hakimi realization holds a bowtie: a certificate, no search
-    # needed
-    monkeypatch.setattr(graphs_module, "_placements", _forbidden)
+@pytest.mark.parametrize("text", ["4,2^4", "4,3^2,2^2", "10^2,4^5,2^4"])
+def test_oracle_says_yes_at_the_first_placement_that_fits(monkeypatch, text):
+    # the oracle stops at the first placement the lay-off kernel completes:
+    # the first of 4,2^4, the second of 4,3^2,2^2 and the fifth of
+    # 10^2,4^5,2^4 (of 3, 5 and 343)
     seq = parse_sequence(text)
+    first = next(
+        i
+        for i, (bowtie, inner) in enumerate(_placements(seq.terms))
+        if _complete(seq.terms, bowtie, inner) is not None
+    )
+    tried = _spy_on_degree_tests(monkeypatch)
     assert oracle_has_bowtie_realization(seq) is True
-    adj = _complete(seq.terms, [], [])
-    assert _realizes(adj, seq.terms)
-    assert _least_bowtie(adj) is not None
+    assert tried == list(islice(_degree_tests(seq.terms), first + 1))
+    assert first == {"4,2^4": 0, "4,3^2,2^2": 1, "10^2,4^5,2^4": 4}[text]
 
 
 def test_the_kernel_realizes_exactly_the_graphic_candidates():
@@ -545,6 +571,9 @@ def test_the_kernel_realizes_exactly_the_graphic_candidates():
                     assert _realizes(adj, terms), (terms, inner)
                     assert all(v in adj[u] for u, v in inner), (terms, inner)
                     completed += 1
+            # the oracle's degree test answers what the kernel builds
+            completes = any(_complete(terms, b, i) is not None for b, i in _placements(terms))
+            assert oracle_has_bowtie_realization(DegreeSequence(terms)) == completes, terms
     assert graphic == 10 + 1202  # n = 2..4, then the verify sweep's n = 5..8
     assert completed == 80276  # of 400 608 placements
 
@@ -574,15 +603,17 @@ def test_the_kernel_builds_the_rows_of_the_documented_lay_off():
 @pytest.mark.parametrize("text", ["4^4,2", "3^2,1^2"])
 def test_oracle_rejects_non_graphic_input_before_the_gate(monkeypatch, text):
     # 4^4,2 has placements to search; 3^2,1^2 has none
-    monkeypatch.setattr(graphs_module, "_placements", _forbidden)
+    monkeypatch.setattr(graphs_module, "_choices", _forbidden)
     with pytest.raises(NotGraphic):
         oracle_has_bowtie_realization(parse_sequence(text))
 
 
-def test_oracle_proves_graphicality_without_erdos_gallai(monkeypatch):
-    # the Havel–Hakimi certificate is exact, so the oracle's NotGraphic needs
-    # no second graphicality test
-    monkeypatch.setattr(graphs_module, "_erdos_gallai_ok", _forbidden)
+def test_oracle_proves_graphicality_by_erdos_gallai(monkeypatch):
+    # the oracle's graphicality proof is the run-end Erdős–Gallai test: its
+    # NotGraphic matches the direct inequality check on every candidate,
+    # and no realization is built
+    monkeypatch.setattr(graphs_module, "_complete", _forbidden)
+    monkeypatch.setattr(graphs_module, "_least_bowtie", _forbidden)
     checked = 0
     for n in range(1, 9):
         for terms in nonincreasing_positive_sequences(n, n):
@@ -616,14 +647,17 @@ def test_oracle_answers_beyond_the_enumeration_limit_without_walking(monkeypatch
 
 
 def test_oracle_answers_at_scale():
-    # the certificate lays off each vertex once on one sorted list, so the
-    # oracle is near-linear: about 0.3 s for all three on a shared 2-vCPU VM
-    # (Python 3.11), where a lay-off that re-sorted the later vertices for
-    # each vertex took about 36 s
+    # each placement costs a few linear passes over the degrees, and a rule
+    # shape has few placements, so the oracle is near-linear: about 0.05 s
+    # for all five on a shared 2-vCPU VM (Python 3.11).  The rule 3 and
+    # rule 4 shapes took about 100 s when the oracle searched its
+    # Havel–Hakimi realization, a book graph, for a bowtie first
     start = time.perf_counter()
     assert oracle_has_bowtie_realization(parse_sequence("4^20000")) is True
     assert oracle_has_bowtie_realization(parse_sequence("3^20000")) is False
     assert oracle_has_bowtie_realization(parse_sequence("4^2,2^19998")) is True
+    assert oracle_has_bowtie_realization(parse_sequence("19998^2,2^19998")) is False
+    assert oracle_has_bowtie_realization(parse_sequence("19999^2,2^19998")) is False
     assert time.perf_counter() - start < 5
 
 
