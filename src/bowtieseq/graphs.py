@@ -17,7 +17,8 @@ reference the search is tested against.
 A bowtie is two triangles sharing one vertex: a centre c with four distinct
 neighbours a, b, d, e such that ab and de are edges.  Equivalently it is the
 5-vertex complete graph minus the edges of a 4-cycle (the tests verify that
-isomorphism by brute force).
+isomorphism by brute force).  Both are written once, on the positions
+(c, a, b, d, e): ``_BOWTIE`` and ``_CROSS``, the 4-cycle a–d–b–e it lacks.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ class TooLarge(ValueError):
 
 class TraceMismatch(ValueError):
     """The graph's degrees do not fit the lay-off trace being inverted."""
+
+
+# the bowtie's six edges, centre first, and the cross edges ad, ae, bd and
+# be that may join its wings, on the positions (c, a, b, d, e)
+_BOWTIE = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4))
+_CROSS = ((1, 3), (1, 4), (2, 3), (2, 4))
 
 
 class SimpleGraph:
@@ -127,11 +134,8 @@ class BowtieWitness:
     wing2: tuple[int, int]
 
     def edges(self) -> list[tuple[int, int]]:
-        c = self.center
-        a, b = self.wing1
-        d, e = self.wing2
-        pairs = [(c, a), (c, b), (c, d), (c, e), (a, b), (d, e)]
-        return [(u, v) if u < v else (v, u) for u, v in pairs]
+        ends = (self.center, *self.wing1, *self.wing2)
+        return [(min(ends[i], ends[j]), max(ends[i], ends[j])) for i, j in _BOWTIE]
 
 
 def degree_sequence(graph: SimpleGraph) -> DegreeSequence:
@@ -289,36 +293,34 @@ def enumerate_realizations(seq: DegreeSequence) -> Iterator[SimpleGraph]:
     yield from walk(0, list(seq.terms), [])
 
 
-# the cross edges ad, ae, bd and be, as positions in a pairing (a, b, d, e)
-_CROSS = ((0, 2), (0, 3), (1, 2), (1, 3))
+_Layout = tuple[tuple[tuple[int, int], ...], tuple[int, ...]]
 
 
 @cache
-def _layouts(
-    room: tuple[int, int, int, int]
-) -> tuple[tuple[tuple[int, int, int, int], int, tuple[int, int, int, int]], ...]:
-    """Every way to lay out wings w, x, y and z that may take room[i] cross
-    edges each, as (pairing, mask, inside): each of the three pairings
-    (a, b, d, e), as positions into (w, x, y, z), then each subset of the
-    cross edges that fits the room, as bits 0..3 of a mask from all four
-    down, and the degree each of w, x, y and z then has inside the bowtie."""
+def _layouts(room: tuple[int, int, int, int]) -> tuple[_Layout, ...]:
+    """Every way to lay out a bowtie on the positions 0..4 of a centre and
+    wings w, x, y and z that may take room[i] cross edges each, as (edges,
+    inside): each of the three pairings of the wings into (a, b, d, e), then
+    each subset of ``_CROSS`` that fits the room, from all four down (as
+    bits 0..3 of a mask), with the edges as position pairs, ``_BOWTIE``'s
+    first, and the degree each position then has inside the bowtie."""
+    if room != (2, 2, 2, 2):  # each layout is built once, in the room that takes all 48
+        every = _layouts((2, 2, 2, 2))
+        return tuple(lay for lay in every if all(i - 2 <= r for i, r in zip(lay[1][1:], room)))
     found = []
-    for pairing in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)):
+    for ends in ((0, 1, 2, 3, 4), (0, 1, 3, 2, 4), (0, 1, 4, 2, 3)):  # c, a, b, d, e
         for mask in range(15, -1, -1):
-            inside = [2, 2, 2, 2]
-            for bit, ends in enumerate(_CROSS):
-                if mask >> bit & 1:
-                    for end in ends:
-                        inside[pairing[end]] += 1
-            if all(i - 2 <= r for i, r in zip(inside, room)):
-                found.append((pairing, mask, tuple(inside)))
+            pairs = _BOWTIE + tuple(edge for bit, edge in enumerate(_CROSS) if mask >> bit & 1)
+            edges = tuple((ends[i], ends[j]) for i, j in pairs)
+            found.append((edges, tuple(sum(p in edge for edge in edges) for p in range(5))))
     return tuple(found)
 
 
-@lru_cache(maxsize=1024)  # its keys are degrees, unbounded in number
-def _arrangements(
-    wings: tuple[int, int, int, int]
-) -> tuple[tuple[tuple[int, int, int, int], int, tuple[int, int, int, int]], ...]:
+# bounded: its keys are degrees.  Looking ``_layouts`` up by room instead
+# was slower on the bench's verify+sigma op (N = 5..8, in-process) in 9 of 10
+# alternating pairs: 28.3-45.7 against 25.3-29.6 ms (Python 3.11, 2-vCPU VM)
+@lru_cache(maxsize=1024)
+def _arrangements(wings: tuple[int, int, int, int]) -> tuple[_Layout, ...]:
     """The ``_layouts`` of wings of the degrees ``wings``: a wing of degree
     t takes at most t - 2 cross edges (and no wing has more than two)."""
     return _layouts(tuple(min(t - 2, 2) for t in wings))
@@ -350,23 +352,19 @@ def _choices(terms: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...], tup
 def _placements(terms: tuple[int, ...]) -> Iterator[tuple[list[int], list[tuple[int, int]]]]:
     """The ``_choices`` on vertices, as (vertices c, w, x, y, z; edges):
     vertex i has degree terms[i], and each value goes on the lowest free
-    vertices of its class.  The edges are the bowtie's six, centre first,
-    then the cross edges of the mask."""
+    vertices of its class.  The edges are the ``_layouts``' position pairs,
+    ``_BOWTIE``'s six and then the cross edges, put on those vertices."""
     first: dict[int, int] = {}  # each value's lowest vertex
     for v, value in enumerate(terms):
         first.setdefault(value, v)
     for centre, wings, arrangements in _choices(terms):
-        c = first[centre]
-        # the j-th wing of a value skips the earlier ones, and c in its class
-        labels = [
+        # the j-th wing of a value skips the earlier ones, and the centre
+        bowtie = [first[centre]] + [
             first[value] + j - wings.index(value) + (value == centre)
             for j, value in enumerate(wings)
         ]
-        for pairing, mask, _ in arrangements:
-            a, b, d, e = (labels[j] for j in pairing)
-            star = [(c, a), (c, b), (c, d), (c, e), (a, b), (d, e)]
-            cross = ((a, d), (a, e), (b, d), (b, e))
-            yield [c, *labels], star + [cross[j] for j in range(4) if mask >> j & 1]
+        for edges, _ in arrangements:
+            yield bowtie, [(bowtie[i], bowtie[j]) for i, j in edges]
 
 
 def _complete(
@@ -491,8 +489,8 @@ def oracle_has_bowtie_realization(seq: DegreeSequence) -> bool:
         outside = list(terms)
         for value in (centre, w, x, y, z):
             outside.remove(value)
-        for _, _, (iw, ix, iy, iz) in arrangements:
-            if _fits(outside, (centre - 4, w - iw, x - ix, y - iy, z - iz)):
+        for _, (ic, iw, ix, iy, iz) in arrangements:
+            if _fits(outside, (centre - ic, w - iw, x - ix, y - iy, z - iz)):
                 return True
     return False
 

@@ -22,9 +22,9 @@ The oracle says "yes" at the first bowtie placement that its degree test
 completes, and "no" when the rules-free placement search of the graphs
 module finds none that completes (none to try at all for rules 1 and 2).
 It builds no graph, and no labelled realization is enumerated: that
-exhaustive walk is only the tests' reference.  The number of candidates grows as C(2n - 2, n), so a
-sweep is bounded by SWEEP_LIMIT (n = 12: 162 769 sequences).  The
-acceptance suite runs n = 5..11.
+exhaustive walk is only the tests' reference.  The number of candidates
+grows as C(2n - 2, n), so a sweep is bounded by SWEEP_LIMIT (n = 12:
+162 769 sequences).  The acceptance suite runs n = 5..11.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import time
 import tracemalloc
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, islice, permutations
 from math import comb
 
@@ -17,9 +18,10 @@ from _brute import (
     brute_contains_bowtie,
     degree_multiset_census,
     erdos_gallai_graphic,
-    lay_off_completion,
     nonincreasing_positive_sequences,
 )
+from _kernel import compare_with_reference
+from _scale import wrong_answers
 from bowtieseq import (
     BowtieWitness,
     DegreeSequence,
@@ -410,42 +412,37 @@ def test_oracle_matches_brute_force_over_all_small_sequences():
             assert oracle_has_bowtie_realization(DegreeSequence(terms)) == expected, terms
 
 
-_public_verdicts: list[tuple[DegreeSequence, bool]] = []
-
-
-def _public_route_verdicts() -> list[tuple[DegreeSequence, bool]]:
-    # the oracle decides bowtie placements on degrees; the public route
-    # builds a graph per realization and runs contains_bowtie on it
-    # (computed once, shared)
-    if not _public_verdicts:
-        for n in range(5, 9):
-            for terms in nonincreasing_positive_sequences(n, n - 1):
-                if erdos_gallai_graphic(list(terms)):
-                    seq = DegreeSequence(terms)
-                    realizations = enumerate_realizations(seq)
-                    expected = any(contains_bowtie(g) is not None for g in realizations)
-                    _public_verdicts.append((seq, expected))
-    assert len(_public_verdicts) == 1202
-    return _public_verdicts
-
-
-def test_oracle_agrees_with_the_public_enumeration_and_detector():
-    for seq, expected in _public_route_verdicts():
-        assert oracle_has_bowtie_realization(seq) == expected, seq
-
-
 def _forbidden(*args):
     raise AssertionError(f"called on {args}")
 
 
 def test_the_search_alone_decides_every_sequence(monkeypatch):
-    # the oracle decides each placement on degrees: with the lay-off kernel,
-    # the bowtie search and the graph type made to fail, it still agrees
-    # with the public route on every sequence
-    verdicts = _public_route_verdicts()
-    for name in ("_complete", "_least_bowtie", "SimpleGraph", "enumerate_realizations"):
+    # reference, on every graphic sequence of length 5..10: the degree gate,
+    # then a bowtie in the Havel–Hakimi realization, else the public route,
+    # a bowtie in some realization the exhaustive walk visits
+    reference = []
+    for n in range(5, 11):
+        for terms in nonincreasing_positive_sequences(n, n - 1):
+            if not erdos_gallai_graphic(list(terms)):
+                continue
+            seq = DegreeSequence(terms)
+            if terms[0] < 4 or terms[4] < 2:
+                expected = False
+            elif _least_bowtie(_complete(terms, [], [])) is not None:
+                expected = True
+            else:
+                realizations = enumerate_realizations(seq)
+                expected = any(contains_bowtie(g) is not None for g in realizations)
+            reference.append((seq, expected))
+    lengths = Counter(len(seq) for seq, _ in reference)
+    assert lengths == {5: 20, 6: 71, 7: 240, 8: 871, 9: 3148, 10: 11655}  # 16 005
+    # the oracle decides each placement on degrees: with its old path (the
+    # lay-off kernel, the bowtie search and the graph type) made to fail, it
+    # agrees on every sequence, every "no" (rules 3..6 among them) from the
+    # placement search.  It never calls the walk
+    for name in ("_complete", "_least_bowtie", "SimpleGraph"):
         monkeypatch.setattr(graphs_module, name, _forbidden)
-    for seq, expected in verdicts:
+    for seq, expected in reference:
         assert oracle_has_bowtie_realization(seq) == expected, seq
 
 
@@ -453,9 +450,10 @@ def test_the_search_alone_decides_every_sequence(monkeypatch):
 def test_oracle_degree_gate_answers_without_walking(monkeypatch, text):
     # no vertex of degree >= 4, or fewer than five of degree >= 2: the
     # placement search has nothing to try, so no separate gate is needed
+    # and no placement is decided
     seq = parse_sequence(text)
     assert list(_placements(seq.terms)) == []
-    monkeypatch.setattr(graphs_module, "enumerate_realizations", _forbidden)
+    monkeypatch.setattr(graphs_module, "_fits", _forbidden)
     assert oracle_has_bowtie_realization(seq) is False
 
 
@@ -482,7 +480,6 @@ def _spy_on_degree_tests(monkeypatch):
 
     monkeypatch.setattr(graphs_module, "_fits", fits)
     monkeypatch.setattr(graphs_module, "_complete", _forbidden)
-    monkeypatch.setattr(graphs_module, "enumerate_realizations", _forbidden)
     return tried
 
 
@@ -507,31 +504,6 @@ def test_oracle_walks_every_sequence_past_the_gate(monkeypatch, text):
     assert oracle_has_bowtie_realization(seq) is False
     walked = list(_degree_tests(seq.terms))
     assert walked and tried == walked
-
-
-def test_oracle_agrees_with_the_walk_without_walking(monkeypatch):
-    # reference: the degree gate, then the certificate, else a bowtie
-    # in any realization the exhaustive walk visits
-    reference = []
-    for n in range(5, 11):
-        for terms in nonincreasing_positive_sequences(n, n - 1):
-            if not erdos_gallai_graphic(list(terms)):
-                continue
-            seq = DegreeSequence(terms)
-            if terms[0] < 4 or terms[4] < 2:
-                expected = False
-            elif _least_bowtie(_complete(terms, [], [])) is not None:
-                expected = True
-            else:
-                realizations = enumerate_realizations(seq)
-                expected = any(contains_bowtie(g) is not None for g in realizations)
-            reference.append((seq, expected))
-    assert len(reference) == 16005
-    # with the walk forbidden, every "no" (rules 3..6 among them) comes from
-    # the placement search
-    monkeypatch.setattr(graphs_module, "enumerate_realizations", _forbidden)
-    for seq, expected in reference:
-        assert oracle_has_bowtie_realization(seq) == expected, seq
 
 
 @pytest.mark.parametrize("text", ["4,2^4", "4,3^2,2^2", "10^2,4^5,2^4"])
@@ -579,30 +551,24 @@ def test_the_kernel_realizes_exactly_the_graphic_candidates():
 
 
 def test_the_kernel_builds_the_rows_of_the_documented_lay_off():
-    # not only whether a realization exists: the kernel's rows must be the
-    # ones the plain reference builds, which re-sorts at every step where the
-    # kernel keeps one list sorted by its tie rule and trims it from the
-    # tail.  With nothing placed on every graphic sequence up to n = 9; with
-    # every placement up to n = 7, and the first 12 placements of each
-    # sequence of length 8 and 9 (the full n <= 9 sweep, 3.4 million
-    # placements, runs in CI)
-    compared = 0
-    for n in range(1, 10):
-        for terms in nonincreasing_positive_sequences(n, n - 1):
-            if not erdos_gallai_graphic(list(terms)):
-                continue
-            assert _complete(terms, [], []) == lay_off_completion(terms, [], []), terms
-            placements = _placements(terms) if n <= 7 else islice(_placements(terms), 12)
-            for bowtie, inner in placements:
-                expected = lay_off_completion(terms, bowtie, inner)
-                assert _complete(terms, bowtie, inner) == expected, (terms, inner)
-                compared += 1
+    # the kernel's rows against the plain reference's (see _kernel): with
+    # nothing placed on every graphic sequence up to n = 9; with every
+    # placement up to n = 7, and the first 12 placements of each sequence
+    # of length 8 and 9 (the full n <= 9 sweep, 3.4 million placements,
+    # runs in CI)
+    sequences, compared = compare_with_reference(9, every_up_to=7)
+    assert sequences == 10 + 1202 + 3148  # n = 2..4, the verify sweep's 5..8, then 9
     assert compared == 119 + 2554 + 35550 + 9537 + 36576
 
 
-@pytest.mark.parametrize("text", ["4^4,2", "3^2,1^2"])
+@pytest.mark.parametrize(
+    "text",
+    ["4^4,2", "3^2,1^2", pytest.param(",".join(map(str, range(3000, 0, -1))), id="3000,...,1")],
+)
 def test_oracle_rejects_non_graphic_input_before_the_gate(monkeypatch, text):
-    # 4^4,2 has placements to search; 3^2,1^2 has none
+    # 4^4,2 has placements to search; 3^2,1^2 has none; 3000,2999,...,1 has
+    # over 3·10^12 choices of wings, so a search before the graphicality
+    # test would fail here rather than hang
     monkeypatch.setattr(graphs_module, "_choices", _forbidden)
     with pytest.raises(NotGraphic):
         oracle_has_bowtie_realization(parse_sequence(text))
@@ -636,28 +602,15 @@ def test_oracle_not_graphic_message_stays_short_for_a_long_sequence():
     assert len(message) < 200
 
 
-def test_oracle_answers_beyond_the_enumeration_limit_without_walking(monkeypatch):
-    # the walk's limit bounds only the walk: at n = 30 a "yes" comes from the
-    # certificate and the rule 4 and rule 3 shapes' "no"s from the
-    # placement search
-    monkeypatch.setattr(graphs_module, "enumerate_realizations", _forbidden)
-    assert oracle_has_bowtie_realization(parse_sequence("4^30")) is True
-    assert oracle_has_bowtie_realization(parse_sequence("29^2,2^28")) is False
-    assert oracle_has_bowtie_realization(parse_sequence("28^2,2^28")) is False
-
-
 def test_oracle_answers_at_scale():
-    # each placement costs a few linear passes over the degrees, and a rule
-    # shape has few placements, so the oracle is near-linear: about 0.05 s
-    # for all five on a shared 2-vCPU VM (Python 3.11).  The rule 3 and
-    # rule 4 shapes took about 100 s when the oracle searched its
-    # Havel–Hakimi realization, a book graph, for a bowtie first
+    # the shared scale table (see _scale) past the walk's limit, at n = 30,
+    # and at n = 20000: about 0.05 s for the six at n = 20000 on a shared
+    # 2-vCPU VM (Python 3.11), where the rule 3 and rule 4 shapes took
+    # about 100 s when the oracle searched their Havel–Hakimi realization,
+    # a book graph, for a bowtie first
     start = time.perf_counter()
-    assert oracle_has_bowtie_realization(parse_sequence("4^20000")) is True
-    assert oracle_has_bowtie_realization(parse_sequence("3^20000")) is False
-    assert oracle_has_bowtie_realization(parse_sequence("4^2,2^19998")) is True
-    assert oracle_has_bowtie_realization(parse_sequence("19998^2,2^19998")) is False
-    assert oracle_has_bowtie_realization(parse_sequence("19999^2,2^19998")) is False
+    assert wrong_answers(30) == []
+    assert wrong_answers(20000) == []
     assert time.perf_counter() - start < 5
 
 

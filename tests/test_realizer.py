@@ -378,6 +378,22 @@ def test_the_fallback_decides_without_the_lay_off_test(monkeypatch):
         realize_with_bowtie(parse_sequence("6,2^5"))
 
 
+def test_a_non_graphic_input_costs_at_most_two_completions(monkeypatch):
+    # 3000,2999,...,1 has over 3·10^12 choices of wings: the first placement
+    # fails, then the Havel–Hakimi pass rejects the sequence (5 ms), so a
+    # realizer that searched on before deciding fails here, not hangs
+    calls = []
+
+    def counted(terms, bowtie, inner):
+        calls.append(inner)
+        assert len(calls) <= 2, "a third completion of the same input"
+        return _complete(terms, bowtie, inner)
+
+    monkeypatch.setattr(realizer_module, "_complete", counted)
+    with pytest.raises(NotPotentially, match=re.escape("(not_graphic)")):
+        realize_with_bowtie(DegreeSequence(range(3000, 0, -1)))
+
+
 def test_rules_that_reject_a_realized_sequence_raise_the_alarm(monkeypatch):
     # a completed placement shows the sequence has a bowtie realization, so
     # rules that reject it would be falsified
