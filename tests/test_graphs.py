@@ -416,30 +416,58 @@ def _forbidden(*args):
     raise AssertionError(f"called on {args}")
 
 
-def test_the_search_alone_decides_every_sequence(monkeypatch):
-    # reference, on every graphic sequence of length 5..10: the degree gate,
-    # then a bowtie in the Havel–Hakimi realization, else the public route,
-    # a bowtie in some realization the exhaustive walk visits
-    reference = []
-    for n in range(5, 11):
-        for terms in nonincreasing_positive_sequences(n, n - 1):
-            if not erdos_gallai_graphic(list(terms)):
-                continue
-            seq = DegreeSequence(terms)
-            if terms[0] < 4 or terms[4] < 2:
-                expected = False
-            elif _least_bowtie(_complete(terms, [], [])) is not None:
-                expected = True
-            else:
-                realizations = enumerate_realizations(seq)
-                expected = any(contains_bowtie(g) is not None for g in realizations)
-            reference.append((seq, expected))
-    lengths = Counter(len(seq) for seq, _ in reference)
+_reference: list[tuple[DegreeSequence, bool]] = []
+
+
+def _walk_reference() -> list[tuple[DegreeSequence, bool]]:
+    # every graphic sequence of length 5..10 with its answer: the degree
+    # gate, then a bowtie in the Havel–Hakimi realization, else the public
+    # route, a bowtie in some realization the exhaustive walk visits
+    # (computed once, shared)
+    if not _reference:
+        for n in range(5, 11):
+            for terms in nonincreasing_positive_sequences(n, n - 1):
+                if not erdos_gallai_graphic(list(terms)):
+                    continue
+                seq = DegreeSequence(terms)
+                if terms[0] < 4 or terms[4] < 2:
+                    expected = False
+                elif _least_bowtie(_complete(terms, [], [])) is not None:
+                    expected = True
+                else:
+                    realizations = enumerate_realizations(seq)
+                    expected = any(contains_bowtie(g) is not None for g in realizations)
+                _reference.append((seq, expected))
+    lengths = Counter(len(seq) for seq, _ in _reference)
     assert lengths == {5: 20, 6: 71, 7: 240, 8: 871, 9: 3148, 10: 11655}  # 16 005
+    return _reference
+
+
+def test_oracle_agrees_with_the_public_enumeration_and_detector():
+    # on the 1202 of length 5..8 the reference's two shortcuts are checked
+    # against the public route itself, and the oracle agrees with both
+    small = [(seq, expected) for seq, expected in _walk_reference() if len(seq) <= 8]
+    assert len(small) == 1202
+    for seq, expected in small:
+        realizations = enumerate_realizations(seq)
+        assert any(contains_bowtie(g) is not None for g in realizations) == expected, seq
+        assert oracle_has_bowtie_realization(seq) == expected, seq
+
+
+def test_oracle_agrees_with_the_walk_without_walking(monkeypatch):
+    # with the walk made to fail, every "no" (rules 3..6 among them) comes
+    # from the placement search
+    reference = _walk_reference()
+    monkeypatch.setattr(graphs_module, "enumerate_realizations", _forbidden)
+    for seq, expected in reference:
+        assert oracle_has_bowtie_realization(seq) == expected, seq
+
+
+def test_the_search_alone_decides_every_sequence(monkeypatch):
     # the oracle decides each placement on degrees: with its old path (the
     # lay-off kernel, the bowtie search and the graph type) made to fail, it
-    # agrees on every sequence, every "no" (rules 3..6 among them) from the
-    # placement search.  It never calls the walk
+    # still agrees on every sequence, so it builds no graph
+    reference = _walk_reference()
     for name in ("_complete", "_least_bowtie", "SimpleGraph"):
         monkeypatch.setattr(graphs_module, name, _forbidden)
     for seq, expected in reference:
@@ -602,14 +630,19 @@ def test_oracle_not_graphic_message_stays_short_for_a_long_sequence():
     assert len(message) < 200
 
 
-def test_oracle_answers_at_scale():
-    # the shared scale table (see _scale) past the walk's limit, at n = 30,
-    # and at n = 20000: about 0.05 s for the six at n = 20000 on a shared
-    # 2-vCPU VM (Python 3.11), where the rule 3 and rule 4 shapes took
-    # about 100 s when the oracle searched their Havel–Hakimi realization,
-    # a book graph, for a bowtie first
-    start = time.perf_counter()
+def test_oracle_answers_beyond_the_enumeration_limit_without_walking(monkeypatch):
+    # the walk's limit bounds only the walk: at n = 30 the shared scale
+    # table (see _scale) is answered with the walk made to fail
+    monkeypatch.setattr(graphs_module, "enumerate_realizations", _forbidden)
     assert wrong_answers(30) == []
+
+
+def test_oracle_answers_at_scale():
+    # the shared scale table at n = 20000: about 0.05 s for the six on a
+    # shared 2-vCPU VM (Python 3.11), where the rule 3 and rule 4 shapes
+    # took about 100 s when the oracle searched their Havel–Hakimi
+    # realization, a book graph, for a bowtie first
+    start = time.perf_counter()
     assert wrong_answers(20000) == []
     assert time.perf_counter() - start < 5
 
