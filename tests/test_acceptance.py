@@ -433,9 +433,13 @@ def test_round_trips_and_byte_identical_cli_runs(capsys):
         ["realize", "4,2^4", "--output", "structured"],
         ["realize", "4,2^10", "--output", "edges"],
         ["realize", "4,3^4", "--output", "dot"],
+        ["realize", "4,3^2,2^2", "--output", "edges"],
+        ["realize", "4,2^10", "--output", "dot"],
         ["verify", "5"],
+        ["verify", "5", "--output", "structured"],
         ["verify", "6", "--output", "structured"],
         ["sigma", "5"],
+        ["sigma", "5", "--output", "structured"],
         ["sigma", "6", "--output", "structured"],
     ]
     for argv in commands:
