@@ -11,9 +11,11 @@ Subcommands:
   for length N (5..12) and compare it with the closed form 4N - 4.
 
 Sequences use run-length text, e.g. ``4,3^2,2^2``.  ``--output structured``
-switches reports to stable ``key=value`` lines that are byte-identical
-between runs; ``realize`` additionally offers ``--output dot`` and
-``--output edges``.
+prints a command's fields as stable ``key=value`` lines, byte-identical
+between runs; ``--output text``, the default, prints them as ``key: value``
+(``_`` in a key shown as a space) except for lines that word several fields:
+``check``'s verdict, ``sigma``'s threshold and witness, ``realize``'s edge
+count, bowtie and adjacency.  ``realize`` also offers ``dot`` and ``edges``.
 
 Exit codes: 0 success (accepted / realized / verified / thresholds agree);
 1 rejected sequence; 2 usage or input error; 3 falsification alarm,
@@ -31,6 +33,8 @@ import argparse
 import functools
 import os
 import sys
+from collections.abc import Iterable
+from itertools import chain, islice
 
 from .characterize import CheckReport, Failure, check_potentially, sigma_closed_form
 from .graphs import contains_bowtie, dot_text, edge_list_text
@@ -57,57 +61,52 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-_PLAIN_CONDITIONS = {
-    Failure.COND1: "condition 1",
-    Failure.COND2: "condition 2",
-    Failure.COND3: "condition 3",
-    Failure.COND5: "condition 5",
-    Failure.COND6: "condition 6",
-}
+def _write(
+    output: str,
+    fields: Iterable[tuple[str, object]],
+    shared: int | None = None,
+    text: Iterable[str] = (),
+) -> None:
+    """Print a report: ``structured`` as one ``key=value`` line per field;
+    ``text`` as ``key: value`` lines, an underscore in the key shown as a
+    space, for the first ``shared`` fields (all by default), then the
+    command's own ``text`` lines in place of the rest."""
+    if output == "structured":
+        lines = [f"{key}={value}" for key, value in fields]
+    else:
+        lines = [f"{key.replace('_', ' ')}: {value}" for key, value in islice(fields, shared)]
+        lines.extend(text)
+    print("\n".join(lines))
 
 
 def _reason_text(report: CheckReport, n: int) -> str:
+    """The failure's value in words ("cond4" is "condition 4"), with its details."""
     failure = report.failure
-    if failure is Failure.NOT_GRAPHIC:
-        return "not graphic"
+    reason = failure.value.replace("_", " ").replace("cond", "condition ")
     if failure is Failure.TOO_SHORT:
-        return f"too short: n={n} < 5"
+        return f"{reason}: n={n} < 5"
     if failure is Failure.COND4:
-        return f"condition 4, k={report.cond4_k}, i={report.cond4_i}"
-    return _PLAIN_CONDITIONS[failure]
+        return f"{reason}, k={report.cond4_k}, i={report.cond4_i}"
+    return reason
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     seq = parse_sequence(args.sequence)
     report = check_potentially(seq)
-    lines: list[str]
-    if args.output == "structured":
-        lines = [
-            f"sequence={format_sequence(seq)}",
-            f"n={len(seq)}",
-            f"sum={sigma(seq)}",
-            f"graphic={_yn(report.graphic)}",
-            f"potentially={_yn(report.potentially)}",
-        ]
-        if report.failure is not None:
-            lines.append(f"reason={report.failure.value}")
-            if report.failure is Failure.COND4:
-                lines.append(f"k={report.cond4_k}")
-                lines.append(f"i={report.cond4_i}")
-    else:
-        verdict = (
-            "potentially: yes"
-            if report.potentially
-            else f"potentially: no ({_reason_text(report, len(seq))})"
-        )
-        lines = [
-            f"sequence: {format_sequence(seq)}",
-            f"n: {len(seq)}",
-            f"sum: {sigma(seq)}",
-            f"graphic: {_yn(report.graphic)}",
-            verdict,
-        ]
-    print("\n".join(lines))
+    fields = [
+        ("sequence", format_sequence(seq)),
+        ("n", len(seq)),
+        ("sum", sigma(seq)),
+        ("graphic", _yn(report.graphic)),
+        ("potentially", _yn(report.potentially)),
+    ]
+    verdict = "potentially: yes"
+    if report.failure is not None:
+        verdict = f"potentially: no ({_reason_text(report, len(seq))})"
+        fields.append(("reason", report.failure.value))
+        if report.failure is Failure.COND4:
+            fields += [("k", report.cond4_k), ("i", report.cond4_i)]
+    _write(args.output, fields, shared=4, text=[verdict])
     return EXIT_OK if report.potentially else EXIT_REJECTED
 
 
@@ -120,103 +119,73 @@ def _cmd_realize(args: argparse.Namespace) -> int:
         return EXIT_REJECTED
     witness = contains_bowtie(graph)
     assert witness is not None  # realize_with_bowtie validates this
-    if args.output == "dot":
-        sys.stdout.write(dot_text(graph, witness))
+    if args.output in ("dot", "edges"):
+        render = dot_text if args.output == "dot" else edge_list_text
+        sys.stdout.write(render(graph, witness))
         return EXIT_OK
-    if args.output == "edges":
-        sys.stdout.write(edge_list_text(graph, witness))
-        return EXIT_OK
+    wing1 = "{},{}".format(*witness.wing1)
+    wing2 = "{},{}".format(*witness.wing2)
+    fields: Iterable[tuple[str, object]] = [
+        ("sequence", format_sequence(seq)),
+        ("n", graph.vertex_count),
+        ("edge_count", graph.edge_count),
+        ("bowtie_center", witness.center),
+        ("bowtie_wing1", wing1),
+        ("bowtie_wing2", wing2),
+    ]
+    text = [
+        f"edges: {graph.edge_count}",
+        f"bowtie: center {witness.center}, wings ({wing1}) and ({wing2})",
+        "adjacency:",
+    ]
+    # the graph itself: an edge per line, or an adjacency row per vertex
     if args.output == "structured":
-        lines = [
-            f"sequence={format_sequence(seq)}",
-            f"n={graph.vertex_count}",
-            f"edge_count={graph.edge_count}",
-            f"bowtie_center={witness.center}",
-            f"bowtie_wing1={witness.wing1[0]},{witness.wing1[1]}",
-            f"bowtie_wing2={witness.wing2[0]},{witness.wing2[1]}",
-        ]
-        lines.extend(f"edge={u},{v}" for u, v in graph.sorted_edges())
+        fields = chain(fields, (("edge", f"{u},{v}") for u, v in graph.sorted_edges()))
     else:
-        lines = [
-            f"sequence: {format_sequence(seq)}",
-            f"n: {graph.vertex_count}",
-            f"edges: {graph.edge_count}",
-            (
-                f"bowtie: center {witness.center},"
-                f" wings ({witness.wing1[0]},{witness.wing1[1]})"
-                f" and ({witness.wing2[0]},{witness.wing2[1]})"
-            ),
-            "adjacency:",
-        ]
         rows = enumerate(graph.adjacency())
-        lines.extend(f"  {v}: " + " ".join(map(str, sorted(row))) for v, row in rows)
-    print("\n".join(lines))
+        text += (f"  {v}: " + " ".join(map(str, sorted(row))) for v, row in rows)
+    _write(args.output, fields, shared=2, text=text)
     return EXIT_OK
-
-
-def _check_cli_n(n: int) -> None:
-    if not 5 <= n <= SWEEP_LIMIT:
-        raise ParseError(f"N must be between 5 and {SWEEP_LIMIT}, got {n}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _check_cli_n(args.n)
     summary = verify_characterization(args.n)
-    result = "ok" if summary.ok else "falsified"
-    if args.output == "structured":
-        lines = [
-            f"n={summary.n}",
-            f"sequences_tested={summary.sequences_tested}",
-            f"potentially={summary.potentially_count}",
-            f"rejected={summary.rejected_count}",
-            f"mismatches={len(summary.mismatches)}",
-            f"result={result}",
-        ]
-    else:
-        lines = [
-            f"n: {summary.n}",
-            f"sequences tested: {summary.sequences_tested}",
-            f"potentially: {summary.potentially_count}",
-            f"rejected: {summary.rejected_count}",
-            f"mismatches: {len(summary.mismatches)}",
-            f"result: {result}",
-        ]
-    print("\n".join(lines))
-    if not summary.ok:
-        for mismatch in summary.mismatches:
-            _warn(
-                f"mismatch: {format_sequence(mismatch.sequence)}"
-                f" checker={_yn(mismatch.checker_verdict)}"
-                f" oracle={_yn(mismatch.oracle_verdict)}"
-            )
-        return EXIT_FALSIFIED
-    return EXIT_OK
+    fields = [
+        ("n", summary.n),
+        ("sequences_tested", summary.sequences_tested),
+        ("potentially", summary.potentially_count),
+        ("rejected", summary.rejected_count),
+        ("mismatches", len(summary.mismatches)),
+        ("result", "ok" if summary.ok else "falsified"),
+    ]
+    _write(args.output, fields)
+    for mismatch in summary.mismatches:
+        _warn(
+            f"mismatch: {format_sequence(mismatch.sequence)}"
+            f" checker={_yn(mismatch.checker_verdict)}"
+            f" oracle={_yn(mismatch.oracle_verdict)}"
+        )
+    return EXIT_OK if summary.ok else EXIT_FALSIFIED
 
 
 def _cmd_sigma(args: argparse.Namespace) -> int:
-    _check_cli_n(args.n)
     report = sigma_empirical(args.n)
     closed = sigma_closed_form(args.n)
     agree = report.bound == closed
-    if args.output == "structured":
-        lines = [
-            f"n={report.n}",
-            f"empirical={report.bound}",
-            f"closed_form={closed}",
-            f"agree={_yn(agree)}",
-            f"witness={format_sequence(report.witness)}",
-            f"witness_sum={sigma(report.witness)}",
-        ]
-    else:
-        lines = [
-            f"n: {report.n}",
-            f"empirical: {report.bound}, closed-form: {closed}, agree: {_yn(agree)}",
-            (
-                f"witness: {format_sequence(report.witness)}"
-                f" (sum {sigma(report.witness)}, rejected)"
-            ),
-        ]
-    print("\n".join(lines))
+    witness, witness_sum = format_sequence(report.witness), sigma(report.witness)
+    fields = [
+        ("n", report.n),
+        ("empirical", report.bound),
+        ("closed_form", closed),
+        ("agree", _yn(agree)),
+        ("witness", witness),
+        ("witness_sum", witness_sum),
+    ]
+    text = [
+        f"empirical: {report.bound}, closed-form: {closed}, agree: {_yn(agree)}",
+        f"witness: {witness} (sum {witness_sum}, rejected)",
+    ]
+    _write(args.output, fields, shared=1, text=text)
     return EXIT_OK if agree else EXIT_FALSIFIED
 
 
@@ -230,35 +199,21 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check", help="decide one degree sequence")
-    check.add_argument("sequence", help="run-length degree sequence, e.g. 4,3^2,2^2")
-    check.add_argument("--output", choices=("text", "structured"), default="text")
-    check.set_defaults(handler=_cmd_check)
-
-    realize = sub.add_parser(
-        "realize", help="build a realization containing a bowtie"
-    )
-    realize.add_argument("sequence", help="run-length degree sequence, e.g. 4,3^2,2^2")
-    realize.add_argument(
-        "--output", choices=("text", "structured", "dot", "edges"), default="text"
-    )
-    realize.set_defaults(handler=_cmd_realize)
-
-    verify = sub.add_parser(
-        "verify", help="exhaustively cross-check the rules against the oracle"
-    )
-    verify.add_argument("n", type=int, help=f"sequence length, 5..{SWEEP_LIMIT}")
-    verify.add_argument("--output", choices=("text", "structured"), default="text")
-    verify.set_defaults(handler=_cmd_verify)
-
-    sigma_cmd = sub.add_parser(
-        "sigma", help="recompute the extremal threshold empirically"
-    )
-    sigma_cmd.add_argument("n", type=int, help=f"sequence length, 5..{SWEEP_LIMIT}")
-    sigma_cmd.add_argument("--output", choices=("text", "structured"), default="text")
-    sigma_cmd.set_defaults(handler=_cmd_sigma)
-
+    sequence = ("sequence", str, "run-length degree sequence, e.g. 4,3^2,2^2")
+    n = ("n", int, f"sequence length, 5..{SWEEP_LIMIT}")
+    lines = ("text", "structured")
+    graph = (*lines, "dot", "edges")
+    # name, help, positional argument (name, type, help), --output choices, handler
+    for name, summary, (positional, kind, about), outputs, handler in (
+        ("check", "decide one degree sequence", sequence, lines, _cmd_check),
+        ("realize", "build a realization containing a bowtie", sequence, graph, _cmd_realize),
+        ("verify", "exhaustively cross-check the rules against the oracle", n, lines, _cmd_verify),
+        ("sigma", "recompute the extremal threshold empirically", n, lines, _cmd_sigma),
+    ):
+        command = sub.add_parser(name, help=summary)
+        command.add_argument(positional, type=kind, help=about)
+        command.add_argument("--output", choices=outputs, default="text")
+        command.set_defaults(handler=handler)
     return parser
 
 

@@ -23,7 +23,8 @@ QUOTE_LIMIT = 80  # characters of input text quoted in a ParseError
 
 
 class ParseError(ValueError):
-    """Sequence text does not follow the run-length grammar."""
+    """Input the library refuses: sequence text that does not follow the
+    run-length grammar, or a sweep length N outside 5..SWEEP_LIMIT."""
 
 
 class LayoffImpossible(ValueError):

@@ -35,7 +35,7 @@ from itertools import combinations_with_replacement, compress
 
 from .characterize import SigmaReport, _rule_report
 from .graphs import _erdos_gallai_ok, oracle_has_bowtie_realization
-from .sequences import DegreeSequence, sigma
+from .sequences import DegreeSequence, ParseError, sigma
 
 SWEEP_LIMIT = 12
 
@@ -106,7 +106,7 @@ def _candidates(n: int) -> Iterator[tuple[int, ...]]:
 
 def _check_range(n: int) -> None:
     if not 5 <= n <= SWEEP_LIMIT:
-        raise ValueError(f"exhaustive verification needs 5 <= n <= {SWEEP_LIMIT}, got {n}")
+        raise ParseError(f"N must be between 5 and {SWEEP_LIMIT}, got {n}")
 
 
 def verify_characterization(n: int) -> VerificationSummary:
