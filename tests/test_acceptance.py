@@ -13,8 +13,6 @@ import random
 import time
 from pathlib import Path
 
-import pytest
-
 import bowtieseq.characterize as characterize
 import bowtieseq.cli as cli
 import bowtieseq.realizer as realizer

@@ -416,6 +416,10 @@ def _forbidden(*args):
     raise AssertionError(f"called on {args}")
 
 
+# the walk and the graph path (the lay-off kernel, the bowtie search and the
+# graph type): the oracle decides on degrees and calls none of them
+_WALK_AND_GRAPH = ("enumerate_realizations", "_complete", "_least_bowtie", "SimpleGraph")
+
 _reference: list[tuple[DegreeSequence, bool]] = []
 
 
@@ -456,19 +460,10 @@ def test_oracle_agrees_with_the_public_enumeration_and_detector():
 
 def test_oracle_agrees_with_the_walk_without_walking(monkeypatch):
     # with the walk made to fail, every "no" (rules 3..6 among them) comes
-    # from the placement search
+    # from the placement search; with the graph path made to fail as well,
+    # it decides each placement on degrees and builds no graph
     reference = _walk_reference()
-    monkeypatch.setattr(graphs_module, "enumerate_realizations", _forbidden)
-    for seq, expected in reference:
-        assert oracle_has_bowtie_realization(seq) == expected, seq
-
-
-def test_the_search_alone_decides_every_sequence(monkeypatch):
-    # the oracle decides each placement on degrees: with its old path (the
-    # lay-off kernel, the bowtie search and the graph type) made to fail, it
-    # still agrees on every sequence, so it builds no graph
-    reference = _walk_reference()
-    for name in ("_complete", "_least_bowtie", "SimpleGraph"):
+    for name in _WALK_AND_GRAPH:
         monkeypatch.setattr(graphs_module, name, _forbidden)
     for seq, expected in reference:
         assert oracle_has_bowtie_realization(seq) == expected, seq
@@ -523,9 +518,9 @@ def _realizes(adj, terms):
 
 @pytest.mark.parametrize("text", ["4^2,2^4", "4^2,2^3", "4,2^5", "4,2^6"])
 def test_oracle_walks_every_sequence_past_the_gate(monkeypatch, text):
-    # rules 3..6: these pass the degree gate, so each "no" comes from
-    # deciding every bowtie placement, in the order the realizer tries
-    # them, and finding that none completes
+    # rules 3..6: these have bowtie placements to try, so each "no" comes
+    # from deciding every placement, in the order the realizer tries them,
+    # and finding that none completes
     seq = parse_sequence(text)
     assert not any(contains_bowtie(g) is not None for g in enumerate_realizations(seq))
     tried = _spy_on_degree_tests(monkeypatch)
@@ -594,9 +589,9 @@ def test_the_kernel_builds_the_rows_of_the_documented_lay_off():
     ["4^4,2", "3^2,1^2", pytest.param(",".join(map(str, range(3000, 0, -1))), id="3000,...,1")],
 )
 def test_oracle_rejects_non_graphic_input_before_the_gate(monkeypatch, text):
-    # 4^4,2 has placements to search; 3^2,1^2 has none; 3000,2999,...,1 has
-    # over 3·10^12 choices of wings, so a search before the graphicality
-    # test would fail here rather than hang
+    # graphicality is tested before the placement search: 4^4,2 has
+    # placements; 3^2,1^2 has none; 3000,2999,...,1 has over 3·10^12
+    # choices of wings, so searching first would fail here rather than hang
     monkeypatch.setattr(graphs_module, "_choices", _forbidden)
     with pytest.raises(NotGraphic):
         oracle_has_bowtie_realization(parse_sequence(text))
@@ -632,16 +627,21 @@ def test_oracle_not_graphic_message_stays_short_for_a_long_sequence():
 
 def test_oracle_answers_beyond_the_enumeration_limit_without_walking(monkeypatch):
     # the walk's limit bounds only the walk: at n = 30 the shared scale
-    # table (see _scale) is answered with the walk made to fail
-    monkeypatch.setattr(graphs_module, "enumerate_realizations", _forbidden)
+    # table (see _scale) is answered with the walk and the graph path made
+    # to fail
+    for name in _WALK_AND_GRAPH:
+        monkeypatch.setattr(graphs_module, name, _forbidden)
     assert wrong_answers(30) == []
 
 
-def test_oracle_answers_at_scale():
-    # the shared scale table at n = 20000: about 0.05 s for the six on a
-    # shared 2-vCPU VM (Python 3.11), where the rule 3 and rule 4 shapes
-    # took about 100 s when the oracle searched their Havel–Hakimi
-    # realization, a book graph, for a bowtie first
+def test_oracle_answers_at_scale(monkeypatch):
+    # the shared scale table at n = 20000, with the walk and the graph path
+    # made to fail: about 0.05 s for the six on a shared 2-vCPU VM
+    # (Python 3.11), where the rule 3 and rule 4 shapes took about 100 s
+    # when the oracle searched their Havel–Hakimi realization, a book graph,
+    # for a bowtie first
+    for name in _WALK_AND_GRAPH:
+        monkeypatch.setattr(graphs_module, name, _forbidden)
     start = time.perf_counter()
     assert wrong_answers(20000) == []
     assert time.perf_counter() - start < 5
