@@ -6,8 +6,8 @@ compares ``has_bowtie_realization`` with the decision rules and with the
 oracle ``oracle_has_bowtie_realization`` on every rule 3 or rule 4 shape of
 length 11..MAX_N and on every graphic neighbour of one, realizes each
 accepted one with ``realize_with_bowtie`` and checks the graph's
-certificate, and exits 1 on any disagreement or bad graph.  The acceptance
-suite runs the same comparisons up to n = 20; CI runs MAX_N = 30.
+certificate, and exits 1 on any disagreement or bad graph.  Tier-1 calls
+``rule_shape_report(20)``; CI runs MAX_N = 30.
 
 The decider uses nothing of the package, only the bowtie's definition, one
 switching argument and the Erdős–Gallai test of ``_brute``.  A bowtie is a
@@ -134,14 +134,17 @@ def rule_shape_neighbourhood(n: int) -> set[tuple[int, ...]]:
     return found
 
 
-def main(argv: list[str]) -> int:
+def rule_shape_report(max_n: int) -> tuple[int, int, list[str], list[str]]:
+    """Compare the rules and the oracle with ``has_bowtie_realization`` on
+    every sequence of ``rule_shape_neighbourhood(n)`` for n = 11..max_n, and
+    realize each accepted one and check its certificate.  Return the number
+    of sequences, the number realized, the rules' mismatches (with any bad
+    realization) and the oracle's mismatches."""
     # the rules, the oracle and the realizer under test
     from bowtieseq import DegreeSequence, check_potentially, realize_with_bowtie
     from bowtieseq.graphs import oracle_has_bowtie_realization
     from realize_sweep import certificate_problem
 
-    max_n = int(argv[0])
-    started = time.monotonic()
     checked = realized = 0
     mismatches = []
     oracle_mismatches = []
@@ -160,6 +163,13 @@ def main(argv: list[str]) -> int:
                     mismatches.append(f"realization of {seq}: {problem}")
                 realized += 1
             checked += 1
+    return checked, realized, mismatches, oracle_mismatches
+
+
+def main(argv: list[str]) -> int:
+    max_n = int(argv[0])
+    started = time.monotonic()
+    checked, realized, mismatches, oracle_mismatches = rule_shape_report(max_n)
     elapsed = time.monotonic() - started
     print(
         f"n=11..{max_n} sequences={checked} realized={realized} "

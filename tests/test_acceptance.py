@@ -17,7 +17,7 @@ import bowtieseq.characterize as characterize
 import bowtieseq.cli as cli
 import bowtieseq.realizer as realizer
 from _brute import brute_contains_bowtie, nonincreasing_positive_sequences
-from _placement import has_bowtie_realization, rule_shape_neighbourhood
+from _placement import has_bowtie_realization, rule_shape_report
 from realize_sweep import certificate_problem, realize_every_accepted_sequence
 from bowtieseq import (
     DegreeSequence,
@@ -33,7 +33,7 @@ from bowtieseq import (
     sigma_closed_form,
 )
 from bowtieseq.characterize import sigma_witness
-from bowtieseq.graphs import enumerate_realizations, oracle_has_bowtie_realization
+from bowtieseq.graphs import enumerate_realizations
 from bowtieseq.realizer import FamilyId, FamilyPattern, family_sequence
 from bowtieseq.sequences import lay_off
 from bowtieseq.verify import (
@@ -152,43 +152,18 @@ def test_rules_match_the_placement_reference_on_rule_shapes_beyond_the_sweep():
     # past n = 10 a graphic sequence is rejected by rules 1-2 (degrees alone)
     # or by the explicit shapes of rules 3-4: check each shape and every
     # graphic sequence one step from one.  The oracle, past the walk's
-    # limit, must agree with the reference too
+    # limit, must agree with the reference too, and each accepted sequence
+    # is realized: next to a rejected shape is where the first bowtie
+    # placements are most likely to fail
     started = time.monotonic()
-    tested = accepted = 0
-    for n in range(11, 21):
-        for terms in sorted(rule_shape_neighbourhood(n)):
-            seq = DegreeSequence(terms)
-            found = has_bowtie_realization(terms)
-            assert found == check_potentially(seq).potentially, terms
-            assert oracle_has_bowtie_realization(seq) == found, terms
-            tested += 1
-            accepted += found
-    assert tested == 1770
+    report = rule_shape_report(20)
+    assert report == (1770, 1350, [], [])
     print(
         f"PASS: decision rules and the oracle agree with the bowtie placement "
         f"reference on every rule 3/4 shape of length 11..20 and its graphic neighbours "
-        f"({tested} sequences, {accepted} accepted, 0 mismatches, "
-        f"{time.monotonic() - started:.1f}s)"
-    )
-
-
-def test_realizer_builds_every_accepted_rule_shape_neighbour():
-    # the accepted sequences next to a rejected shape are where the first
-    # bowtie placements are most likely to fail
-    started = time.monotonic()
-    realized = 0
-    for n in range(11, 21):
-        for terms in sorted(rule_shape_neighbourhood(n)):
-            seq = DegreeSequence(terms)
-            if check_potentially(seq).potentially:
-                problem = certificate_problem(realize_with_bowtie(seq), seq)
-                assert problem is None, f"realization of {seq}: {problem}"
-                realized += 1
-    assert realized == 1350
-    print(
-        f"PASS: realizer produced a valid bowtie realization for all {realized} "
-        f"accepted sequences among the rule 3/4 shapes of length 11..20 and "
-        f"their graphic neighbours ({time.monotonic() - started:.1f}s)"
+        f"({report[0]} sequences, 0 mismatches), and the realizer built a valid "
+        f"bowtie realization for all {report[1]} accepted ones "
+        f"({time.monotonic() - started:.1f}s)"
     )
 
 
