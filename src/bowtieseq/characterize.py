@@ -82,19 +82,18 @@ _COND5 = CheckReport(graphic=True, potentially=False, failure=Failure.COND5)
 _COND6 = CheckReport(graphic=True, potentially=False, failure=Failure.COND6)
 
 
-def matches_cond3(seq: DegreeSequence) -> bool:
-    """Exact match against (n-2, n-2, 2^(n-2)) for n >= 6.
+def matches_cond3(terms: tuple[int, ...]) -> bool:
+    """Exact match of the terms against (n-2, n-2, 2^(n-2)) for n >= 6.
 
     The terms are nonincreasing and positive, so the two ends of the run of
     twos pin all of it.
     """
-    t = seq.terms
-    n = len(t)
-    return n >= 6 and t[0] == t[1] == n - 2 and t[2] == t[-1] == 2
+    n = len(terms)
+    return n >= 6 and terms[0] == terms[1] == n - 2 and terms[2] == terms[-1] == 2
 
 
-def matches_cond4(seq: DegreeSequence) -> tuple[int, int] | None:
-    """Match against (n-k, k+i, 2^i, 1^(n-i-2)); returns (k, i) or None.
+def matches_cond4(terms: tuple[int, ...]) -> tuple[int, int] | None:
+    """Match the terms against (n-k, k+i, 2^i, 1^(n-i-2)); (k, i) or None.
 
     The first term pins k = n - d1 and the second pins i = d2 - k, so a
     matching (k, i) is unique (hence trivially the lexicographically first).
@@ -102,17 +101,16 @@ def matches_cond4(seq: DegreeSequence) -> tuple[int, int] | None:
     run of twos starts and ends where the pattern puts it and the run of
     ones, if any, starts there too: nothing below 1 can follow it.
     """
-    t = seq.terms
-    n = len(t)
+    n = len(terms)
     if n < 5:
         return None
-    k = n - t[0]
+    k = n - terms[0]
     if k < 1 or k > (n - 1) // 2 - 1:
         return None
-    i = t[1] - k
+    i = terms[1] - k
     if i < 3 or i > n - 2 * k:
         return None
-    if t[2] == t[i + 1] == 2 and (i + 2 == n or t[i + 2] == 1):
+    if terms[2] == terms[i + 1] == 2 and (i + 2 == n or terms[i + 2] == 1):
         return (k, i)
     return None
 
@@ -125,19 +123,20 @@ def check_potentially(seq: DegreeSequence) -> CheckReport:
     """
     if not is_graphic(seq):
         return _NOT_GRAPHIC
-    return _rule_report(seq)
+    return _rule_report(seq.terms)
 
 
-def _rule_report(seq: DegreeSequence) -> CheckReport:
-    """Length and rules 1 through 6 for a sequence already known graphic.
+def _rule_report(t: tuple[int, ...]) -> CheckReport:
+    """Length and rules 1 through 6 for the terms of a sequence already
+    known graphic.
 
     ``check_potentially`` reaches this after its own graphicality test; the
-    verify enumerator calls it directly on sequences it has proved graphic,
-    so each is proved graphic once.  Every outcome but rule 4, which
-    carries its (k, i), is one shared report: a module constant, which
-    ``CheckReport`` being frozen makes safe to hand out.
+    verify sweep calls it directly on the tuples its enumerator has proved
+    graphic, so each is proved graphic once and wrapped in no
+    DegreeSequence.  Every outcome but rule 4, which carries its (k, i), is
+    one shared report: a module constant, which ``CheckReport`` being
+    frozen makes safe to hand out.
     """
-    t = seq.terms
     n = len(t)
     if n < 5:
         return _TOO_SHORT
@@ -145,9 +144,9 @@ def _rule_report(seq: DegreeSequence) -> CheckReport:
         return _COND1
     if t[4] < 2:
         return _COND2
-    if matches_cond3(seq):
+    if matches_cond3(t):
         return _COND3
-    ki = matches_cond4(seq)
+    ki = matches_cond4(t)
     if ki is not None:
         return CheckReport(
             graphic=True,

@@ -6,13 +6,14 @@ bowtie detection, the step that adds one vertex by its neighbours' degrees
 The oracle is deliberately independent of the rule-based decision procedure
 in the characterize module so the two can cross-validate each other.  The
 bowtie placements are enumerated once, by value (``_choices``).  The oracle
-decides each one on degrees alone, after Erdős–Gallai has proved the input
-graphic: "yes" when some placement completes to a realization, "no" when
-none does; it builds no graph.  The realizer puts the placements on
-vertices (``_placements``) and builds the first that completes with the one
-lay-off kernel, ``_complete``.  The exhaustive enumerator of labelled
-realizations for small sequences is on no library path: it is the
-reference the search is tested against.
+decides each one on degrees alone (``_placement_fits``), after Erdős–Gallai
+has proved the input graphic: "yes" when some placement completes to a
+realization, "no" when none does; it builds no graph.  The verify sweep
+calls that search directly on sequences its enumerator has proved graphic.
+The realizer puts the placements on vertices (``_placements``) and builds
+the first that completes with the one lay-off kernel, ``_complete``.  The
+exhaustive enumerator of labelled realizations for small sequences is on
+no library path: it is the reference the search is tested against.
 
 A bowtie is two triangles sharing one vertex: a centre c with four distinct
 neighbours a, b, d, e such that ab and de are edges.  Equivalently it is the
@@ -222,16 +223,35 @@ def _erdos_gallai_ok(residual: Sequence[int]) -> bool:
 
     The parity of the sum is tested first: it refutes about half of the
     verify module's candidates before anything is sorted.  The positive
-    demands are the m sorted ones left once the zeros are trimmed from the
-    tail.  If any Erdős–Gallai inequality fails, one fails where a run of
-    equal degrees ends (Tripathi & Vijay, Discrete Math. 2003), so only
-    those k are tested, and the tail sum is skipped where prefix <= k(k-1)
-    holds on its own.  The last run ends at k = m, where the inequality,
-    total <= m(m-1), follows from the test that no term exceeds m - 1.  The
-    answer is the one the full set of inequalities gives.  It is the
-    graphicality proof of the oracle, of each placement it decides, of the
-    walk's prune and of the verify module's enumerator.  The realizer needs
-    none: ``_complete`` decides graphicality as it builds the realization.
+    demands are the m sorted ones d_1 >= ... >= d_m left once the zeros are
+    trimmed from the tail, and no term may exceed m - 1.  The inequalities
+    are f(k) >= 0 for k = 1..m, where
+
+        f(k) = k(k-1) + sum_{i>k} min(d_i, k) - sum_{i<=k} d_i.
+
+    If any fails, one fails where a run of equal degrees ends (Tripathi &
+    Vijay, Discrete Math. 2003), so only those k are tested, and only up to
+    the Durfee square: the loop returns True at the first k with d_k < k.
+    That is exact.  Each step is
+
+        f(j+1) - f(j) = 2j - d_{j+1} - min(d_{j+1}, j) + #{i > j+1 : d_i > j}.
+
+    For j >= k - 1, d_{j+1} <= d_k <= k - 1 <= j, so the step is at least
+    2j - 2d_{j+1} >= 0: no inequality from k - 1 on fails unless the one at
+    k - 1 does.  If k - 1 ends no run, its run has the value k - 1
+    (d_{k-1} >= k - 1 >= d_k) and spans p + 1..q with q >= k.  For
+    p <= j <= k - 2 the step is then j - (k - 1) plus a count that includes
+    the q - j - 1 members of the run after j + 1, so it is at least q - k
+    >= 0, and f(k-1) >= f(p), where p ends a run or is 0 (f(0) = 0).  So if
+    any inequality fails, one fails at a run end before the cut, and those
+    are all tested.  Before the cut every d_k >= k, so prefix >= k^2 >
+    k(k-1) and each test needs its tail sum.  The answer is the one the
+    full set of inequalities gives.
+
+    It is the graphicality proof of the public oracle, of each placement
+    its search decides, of the walk's prune and of the verify module's
+    enumerator, the sweep's only proof.  The realizer needs none:
+    ``_complete`` decides graphicality as it builds the realization.
     """
     if sum(residual) % 2:
         return False
@@ -244,8 +264,10 @@ def _erdos_gallai_ok(residual: Sequence[int]) -> bool:
     prefix = 0
     for k in range(1, m):
         d = degs[k - 1]
+        if d < k:  # past the Durfee square no inequality can fail
+            return True
         prefix += d
-        if d == degs[k] or prefix <= k * (k - 1):
+        if d == degs[k]:
             continue
         bound = k * (k - 1)
         for x in degs[k:m]:
@@ -472,11 +494,8 @@ def _fits(outside: list[int], needs: tuple[int, ...]) -> bool:
 def oracle_has_bowtie_realization(seq: DegreeSequence) -> bool:
     """Rules-free ground truth: does any realization contain a bowtie?
 
-    Erdős–Gallai proves the input graphic first (NotGraphic otherwise).
-    Then each bowtie placement of ``_choices``, in order, is decided on
-    degrees by ``_fits``: "yes" at the first one that completes to a
-    realization, "no" when none does.  That is exact by the switching
-    argument of ``_complete``, and no graph is built.  Graphicality must
+    Erdős–Gallai proves the input graphic first (NotGraphic otherwise),
+    then ``_placement_fits`` searches the placements.  Graphicality must
     come first: a non-graphic input with many distinct terms has
     placements in the fifth power of their number.  Each step is
     polynomial, so it answers at any length; the characterize module's
@@ -485,6 +504,19 @@ def oracle_has_bowtie_realization(seq: DegreeSequence) -> bool:
     terms = seq.terms
     if not _erdos_gallai_ok(terms):
         raise NotGraphic(f"{_quote(format_sequence(seq))} is not graphic")
+    return _placement_fits(terms)
+
+
+def _placement_fits(terms: tuple[int, ...]) -> bool:
+    """The oracle's search, on nonincreasing terms already proved graphic.
+
+    Each bowtie placement of ``_choices``, in order, is decided on degrees
+    by ``_fits``: True at the first one that completes to a realization,
+    False when none does.  That is exact by the switching argument of
+    ``_complete``, and no graph is built.  The verify module's sweep calls
+    it directly on the sequences its enumerator has just proved graphic
+    with the same test.
+    """
     for centre, (w, x, y, z), arrangements in _choices(terms):
         outside = list(terms)
         for value in (centre, w, x, y, z):

@@ -208,7 +208,7 @@ def realize_with_bowtie(seq: DegreeSequence) -> SimpleGraph:
         if _complete(terms, [], []) is None:
             failure = Failure.NOT_GRAPHIC
         else:
-            failure = _rule_report(seq).failure
+            failure = _rule_report(terms).failure
         if failure is not None:
             raise NotPotentially(
                 f"{_quote(format_sequence(seq))} is not potentially bowtie-graphic"
@@ -228,7 +228,7 @@ def realize_with_bowtie(seq: DegreeSequence) -> SimpleGraph:
         raise InternalExhaustion(
             f"realization of {_quote(format_sequence(seq))} failed final validation"
         )
-    if not _rule_report(seq).potentially:
+    if not _rule_report(terms).potentially:
         raise InternalExhaustion(
             f"the rules reject {_quote(format_sequence(seq))}, realized with a bowtie"
         )

@@ -10,13 +10,14 @@ enumerates them once, and the threshold streams the candidates twice, a
 rules pass over every graphic sequence and an oracle pass over the two
 boundary sums, so its memory does not grow with the sweep.
 
-Graphicality is proved by the Erdős–Gallai test of the graphs module: the
-enumerator keeps only the candidates that pass it, the rules then run on
-them without a second proof (``characterize._rule_report``).  The oracle
-proves it again with the same test, since it must answer on its own.
-The lay-off test ``sequences.is_graphic``, which ``check_potentially``
-runs before the rules, is not on this path, so the test suite checks it
-on its own.
+Graphicality is proved once per sequence, by the Erdős–Gallai test of the
+graphs module: the enumerator keeps only the candidates that pass it, and
+the rules (``characterize._rule_report``) and the oracle's placement search
+(``graphs._placement_fits``) then run on the kept tuples without a second
+proof.  A DegreeSequence is built only for what a report holds: a
+mismatch or the threshold's witness.  The lay-off test
+``sequences.is_graphic``, which ``check_potentially`` runs before the
+rules, is not on this path, so the test suite checks it on its own.
 
 The oracle says "yes" at the first bowtie placement that its degree test
 completes, and "no" when the rules-free placement search of the graphs
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, compress
 
 from .characterize import SigmaReport, _rule_report
-from .graphs import _erdos_gallai_ok, oracle_has_bowtie_realization
-from .sequences import DegreeSequence, ParseError, sigma
+from .graphs import _erdos_gallai_ok, _placement_fits
+from .sequences import DegreeSequence, ParseError
 
 SWEEP_LIMIT = 12
 
@@ -86,16 +87,23 @@ def enumerate_graphic_sequences(n: int) -> Iterator[DegreeSequence]:
     """Yield every graphic sequence of length n with positive terms.
 
     Emission order is decreasing lexicographic on the sorted terms, which
-    makes downstream reports and tie-breaks reproducible.  The candidates
-    are the nonincreasing n-tuples over n-1..1, which
+    makes downstream reports and tie-breaks reproducible.  These are the
+    tuples of ``_graphic_terms``, each wrapped without sorting it again.
+    """
+    return map(DegreeSequence._from_sorted, _graphic_terms(n))
+
+
+def _graphic_terms(n: int) -> Iterator[tuple[int, ...]]:
+    """The terms of every graphic length-n sequence with positive terms, in
+    decreasing lexicographic order: the sweep's stream.  The candidates are
+    the nonincreasing n-tuples over n-1..1, which
     ``combinations_with_replacement`` yields in exactly that order; each is
-    proved graphic by the Erdős–Gallai test (odd sums fail it at once)
-    before a DegreeSequence is built for it, without sorting it again.
-    ``filter`` and ``map`` keep the loop in C: no Python frame per candidate.
+    kept when the Erdős–Gallai test proves it graphic (odd sums fail it at
+    once).  ``filter`` keeps the loop in C: no Python frame per candidate.
     """
     if n < 1:
         return iter(())
-    return map(DegreeSequence._from_sorted, filter(_erdos_gallai_ok, _candidates(n)))
+    return filter(_erdos_gallai_ok, _candidates(n))
 
 
 def _candidates(n: int) -> Iterator[tuple[int, ...]]:
@@ -116,14 +124,14 @@ def verify_characterization(n: int) -> VerificationSummary:
     tested = 0
     accepted = 0
     mismatches: list[Mismatch] = []
-    for seq in enumerate_graphic_sequences(n):
+    for terms in _graphic_terms(n):
         tested += 1
-        checker = _rule_report(seq).potentially
-        oracle = oracle_has_bowtie_realization(seq)
+        checker = _rule_report(terms).potentially
+        oracle = _placement_fits(terms)
         if checker:
             accepted += 1
         if checker != oracle:
-            mismatches.append(Mismatch(seq, checker, oracle))
+            mismatches.append(Mismatch(DegreeSequence._from_sorted(terms), checker, oracle))
     return VerificationSummary(n, tested, tuple(mismatches), accepted)
 
 
@@ -150,28 +158,27 @@ def sigma_empirical(n: int) -> SigmaReport:
     """
     _check_range(n)
     worst_sum = -1
-    worst: DegreeSequence | None = None
+    worst: tuple[int, ...] | None = None
     rejected: set[tuple[int, ...]] = set()  # the rejected terms of sum worst_sum
-    for seq in enumerate_graphic_sequences(n):
-        if _rule_report(seq).potentially:
+    for terms in _graphic_terms(n):
+        if _rule_report(terms).potentially:
             continue
-        total = sigma(seq)
+        total = sum(terms)
         if total > worst_sum:
-            worst_sum, worst, rejected = total, seq, {seq.terms}
+            worst_sum, worst, rejected = total, terms, {terms}
         elif total == worst_sum:
-            rejected.add(seq.terms)
+            rejected.add(terms)
     if worst is None:  # cannot happen for n >= 5, guarded for safety
         raise CharacterizationMismatch(f"no rejected sequence of length {n} found")
     bound = worst_sum + 2
     # the sum filter runs in C, over a second copy of the candidate stream
     at_boundary = map((worst_sum, bound).__contains__, map(sum, _candidates(n)))
     for terms in filter(_erdos_gallai_ok, compress(_candidates(n), at_boundary)):
-        seq = DegreeSequence._from_sorted(terms)
         checker = terms not in rejected
-        oracle = oracle_has_bowtie_realization(seq)
+        oracle = _placement_fits(terms)
         if checker != oracle:
             raise CharacterizationMismatch(
-                f"decision procedure and oracle disagree on {seq}: "
-                f"checker={checker}, oracle={oracle}"
+                "decision procedure and oracle disagree on "
+                f"{DegreeSequence._from_sorted(terms)}: checker={checker}, oracle={oracle}"
             )
-    return SigmaReport(n=n, bound=bound, witness=worst)
+    return SigmaReport(n=n, bound=bound, witness=DegreeSequence._from_sorted(worst))

@@ -68,11 +68,11 @@ def test_condition2_requires_five_vertices_of_degree_two():
 
 
 def test_condition3_matches_the_two_high_degree_pattern():
-    assert matches_cond3(parse_sequence("4^2,2^4"))
-    assert matches_cond3(parse_sequence("5^2,2^5"))
-    assert not matches_cond3(parse_sequence("4^2,2^3"))  # n = 5 is exempt
-    assert not matches_cond3(parse_sequence("4^2,2^5"))  # wrong first terms
-    assert not matches_cond3(parse_sequence("4^3,2^3"))
+    assert matches_cond3(parse_sequence("4^2,2^4").terms)
+    assert matches_cond3(parse_sequence("5^2,2^5").terms)
+    assert not matches_cond3(parse_sequence("4^2,2^3").terms)  # n = 5 is exempt
+    assert not matches_cond3(parse_sequence("4^2,2^5").terms)  # wrong first terms
+    assert not matches_cond3(parse_sequence("4^3,2^3").terms)
 
 
 def test_condition3_rejections():
@@ -87,12 +87,12 @@ def test_condition3_rejections():
 
 
 def test_condition4_pins_k_and_i():
-    assert matches_cond4(parse_sequence("4^2,2^3")) == (1, 3)
-    assert matches_cond4(parse_sequence("5^2,2^4")) == (1, 4)
-    assert matches_cond4(parse_sequence("5,4,2^3,1")) == (1, 3)
-    assert matches_cond4(parse_sequence("5^2,2^3,1^2")) == (2, 3)
-    assert matches_cond4(parse_sequence("4,2^4")) is None
-    assert matches_cond4(parse_sequence("4^2,2^4")) is None  # that one is condition 3
+    assert matches_cond4(parse_sequence("4^2,2^3").terms) == (1, 3)
+    assert matches_cond4(parse_sequence("5^2,2^4").terms) == (1, 4)
+    assert matches_cond4(parse_sequence("5,4,2^3,1").terms) == (1, 3)
+    assert matches_cond4(parse_sequence("5^2,2^3,1^2").terms) == (2, 3)
+    assert matches_cond4(parse_sequence("4,2^4").terms) is None
+    assert matches_cond4(parse_sequence("4^2,2^4").terms) is None  # that one is condition 3
 
 
 def test_condition4_rejection_reports_k_and_i():
@@ -106,9 +106,9 @@ def test_condition4_rejection_reports_k_and_i():
 
 def test_condition4_k_range_is_bounded():
     # at n = 6 only k = 1 is admissible, so the condition-3 shape is not cond4
-    assert matches_cond4(parse_sequence("4^2,2^4")) is None
+    assert matches_cond4(parse_sequence("4^2,2^4").terms) is None
     # k would exceed the bound here: n = 8, d1 = 4 gives k = 4 > 2
-    assert matches_cond4(parse_sequence("4,2^7")) is None
+    assert matches_cond4(parse_sequence("4,2^7").terms) is None
 
 
 def test_cond4_fields_are_none_unless_condition4_fired():
@@ -143,9 +143,8 @@ def test_run_boundary_matchers_agree_with_the_literal_patterns():
                 if terms[-1] < 1 or terms in seen:
                     continue
                 seen.add(terms)
-                seq = DegreeSequence(terms)
-                assert matches_cond3(seq) == (n >= 6 and terms == cond3), terms
-                assert matches_cond4(seq) == cond4.get(terms), terms
+                assert matches_cond3(terms) == (n >= 6 and terms == cond3), terms
+                assert matches_cond4(terms) == cond4.get(terms), terms
         checked += len(seen)
     assert checked == 19503
 
@@ -218,7 +217,7 @@ def test_check_is_the_graphicality_test_followed_by_the_rules():
         for terms in nonincreasing_positive_sequences(n, n):
             seq = DegreeSequence(terms)
             graphic = erdos_gallai_graphic(list(terms))
-            expected = _rule_report(seq) if graphic else not_graphic
+            expected = _rule_report(seq.terms) if graphic else not_graphic
             assert check_potentially(seq) == expected, terms
             graphic_counts[n] += graphic
             rejected += not graphic

@@ -20,6 +20,7 @@ from _brute import (
     erdos_gallai_graphic,
     nonincreasing_positive_sequences,
 )
+from _erdos_gallai import compare_with_inequalities
 from _kernel import compare_with_reference
 from _scale import wrong_answers
 from bowtieseq import (
@@ -372,17 +373,22 @@ def test_enumeration_order_is_pinned():
 
 
 def test_feasibility_prune_is_the_full_erdos_gallai_test():
-    # the prune tests only the ends of runs; it must still answer exactly
-    # what every inequality together answers, zeros and any order included
-    rng = random.Random(4101)
-    checked = 0
-    for n in range(0, 10):
-        for terms in nonincreasing_positive_sequences(n, n):
-            residual = [d - 1 for d in terms]  # terms 0..n-1
-            rng.shuffle(residual)
-            assert _erdos_gallai_ok(residual) == erdos_gallai_graphic(residual), residual
-            checked += 1
-    assert checked == sum(comb(2 * n - 1, n) for n in range(1, 10)) + 1
+    # the prune tests only the ends of runs, up to the Durfee square; it must
+    # still answer exactly what every inequality together answers, zeros and
+    # any order included: every list up to length 9, then random lists up to
+    # length 40 whose terms reach n + 1, so that both the test that no term
+    # reaches the length and the Durfee cut are taken
+    assert compare_with_inequalities(9) == sum(comb(2 * n - 1, n) for n in range(1, 10)) + 1
+    rng = random.Random(4102)
+    graphic = 0
+    for _ in range(20000):
+        n = rng.randint(0, 40)
+        top = rng.randint(0, n + 1)
+        residual = [rng.randint(0, top) for _ in range(n)]
+        expected = erdos_gallai_graphic(residual)
+        assert _erdos_gallai_ok(residual) == expected, residual
+        graphic += expected
+    assert graphic == 8776
 
 
 def test_enumeration_guards():

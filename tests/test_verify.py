@@ -99,6 +99,22 @@ def test_mismatch_record_shape():
     assert m.checker_verdict and not m.oracle_verdict
 
 
+def test_disagreements_are_reported_as_sequences(monkeypatch):
+    # the sweeps run on bare term tuples and wrap one in a DegreeSequence
+    # only to report it: an oracle that always says "no" disagrees on the
+    # six accepted sequences of length 5 and on the first boundary one
+    monkeypatch.setattr(verify_module, "_placement_fits", lambda terms: False)
+    accepted = [s for s in enumerate_graphic_sequences(5) if check_potentially(s).potentially]
+    assert len(accepted) == 6
+    mismatches = tuple(Mismatch(s, checker_verdict=True, oracle_verdict=False) for s in accepted)
+    assert verify_characterization(5).mismatches == mismatches
+    with pytest.raises(verify_module.CharacterizationMismatch) as raised:
+        sigma_empirical(5)
+    assert str(raised.value) == (
+        "decision procedure and oracle disagree on 4^2,3^2,2: checker=True, oracle=False"
+    )
+
+
 # ------------------------------------------------------------------- threshold
 
 
@@ -128,26 +144,27 @@ def test_threshold_witness_is_maximal_among_rejected():
 
 def test_threshold_enumerates_the_sequences_once(monkeypatch):
     calls = []
+    graphic_terms = verify_module._graphic_terms
 
     def counted(n):
         calls.append(n)
-        return enumerate_graphic_sequences(n)
+        return graphic_terms(n)
 
-    monkeypatch.setattr(verify_module, "enumerate_graphic_sequences", counted)
+    monkeypatch.setattr(verify_module, "_graphic_terms", counted)
     assert sigma_empirical(7).bound == 24
     assert calls == [7]
 
 
 def test_threshold_redecides_both_boundary_sums_with_the_oracle(monkeypatch):
-    # the largest rejected sum at n = 8 is 26: the oracle re-decides every
-    # graphic sequence of sum 26 or 28, each once, in enumeration order
+    # the largest rejected sum at n = 8 is 26: the oracle's search re-decides
+    # every graphic sequence of sum 26 or 28, each once, in enumeration order
     calls = []
 
-    def counted(seq):
-        calls.append(seq.terms)
-        return graphs_module.oracle_has_bowtie_realization(seq)
+    def counted(terms):
+        calls.append(terms)
+        return graphs_module._placement_fits(terms)
 
-    monkeypatch.setattr(verify_module, "oracle_has_bowtie_realization", counted)
+    monkeypatch.setattr(verify_module, "_placement_fits", counted)
     assert sigma_empirical(8).bound == 28
     boundary = [
         terms
@@ -183,12 +200,24 @@ def _no_lay_off_test(seq):
 
 
 def test_sweep_and_threshold_never_run_the_lay_off_test(monkeypatch):
-    # graphicality comes from the Erdos-Gallai test alone, never from is_graphic
+    # graphicality comes from the Erdos-Gallai test alone, never from
+    # is_graphic, and once per sequence: the enumerator's proof is the only
+    # one, so the graphs module's test sees only the outside demands that
+    # _fits leaves, never a whole 8-term sequence
     for module in (verify_module, characterize_module, graphs_module):
         monkeypatch.setattr(module, "is_graphic", _no_lay_off_test, raising=False)
+    lengths = []
+    erdos_gallai_ok = graphs_module._erdos_gallai_ok
+
+    def counted(residual):
+        lengths.append(len(residual))
+        return erdos_gallai_ok(residual)
+
+    monkeypatch.setattr(graphs_module, "_erdos_gallai_ok", counted)
     summary = verify_characterization(8)
     assert summary.sequences_tested == 871 and summary.ok
     assert sigma_empirical(8).bound == 28
+    assert lengths and max(lengths) < 8
 
 
 def test_threshold_decides_each_sequence_once(monkeypatch):
