@@ -133,9 +133,13 @@ def _rule_report(t: tuple[int, ...]) -> CheckReport:
     ``check_potentially`` reaches this after its own graphicality test; the
     verify sweep calls it directly on the tuples its enumerator has proved
     graphic, so each is proved graphic once and wrapped in no
-    DegreeSequence.  Every outcome but rule 4, which carries its (k, i), is
-    one shared report: a module constant, which ``CheckReport`` being
-    frozen makes safe to hand out.
+    DegreeSequence.  The threshold's rules pass also runs it as a filter on
+    candidates not yet proved graphic: the rules read only the shape of the
+    nonincreasing terms, so they answer any candidate, and the pass proves
+    graphic only what they refuse (``graphic`` in a report is the caller's
+    claim).  Every outcome but rule 4, which carries its (k, i), is one
+    shared report: a module constant, which ``CheckReport`` being frozen
+    makes safe to hand out.
     """
     n = len(t)
     if n < 5:

@@ -353,7 +353,18 @@ def _choices(terms: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...], tup
     value, as (centre, wings, arrangements): each centre value >= 4 and each
     multiset of four wing values >= 2 among the other terms, nonincreasing,
     both from the largest values down, with the ``_arrangements`` of those
-    wings.  Without a term >= 4 and four more >= 2 there is none."""
+    wings.  Without a term >= 4 and four more >= 2 there is none.
+
+    The first choice is the largest term as centre and the next four as
+    wings; it exists exactly when terms[0] >= 4 and terms[4] >= 2, and it
+    is yielded before any list is built, since a search that stops there
+    (as the oracle does on every accepted sequence of length 5..12) needs
+    nothing more.  The loop then yields the others, largest first as
+    above."""
+    if len(terms) < 5 or terms[0] < 4 or terms[4] < 2:
+        return
+    first = terms[1:5]
+    yield terms[0], first, _arrangements(first)
     for centre in dict.fromkeys(terms):  # the values, largest first
         if centre < 4:
             return
@@ -363,8 +374,9 @@ def _choices(terms: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...], tup
         # before it is equal
         values = [t for t, before in zip(rest, (0, 0, 0, 0, *rest)) if t != before and t >= 2]
         # the combinations of a nonincreasing list come in decreasing
-        # lexicographic order; each multiset is taken at its first one
-        seen = set()
+        # lexicographic order; each multiset is taken at its first one,
+        # and the first choice was taken above
+        seen = {first} if centre == terms[0] else set()
         for wings in combinations(values, 4):
             if wings not in seen:
                 seen.add(wings)

@@ -7,17 +7,22 @@ It also recomputes the extremal degree-sum threshold empirically: the
 smallest even bound such that every graphic sequence at or above it is
 accepted.  Neither keeps a list of the sequences: the comparison
 enumerates them once, and the threshold streams the candidates twice, a
-rules pass over every graphic sequence and an oracle pass over the two
-boundary sums, so its memory does not grow with the sweep.
+rules pass over every candidate and an oracle pass over the two boundary
+sums, so its memory does not grow with the sweep.
 
-Graphicality is proved once per sequence, by the Erdős–Gallai test of the
-graphs module: the enumerator keeps only the candidates that pass it, and
-the rules (``characterize._rule_report``) and the oracle's placement search
+Graphicality is proved by the Erdős–Gallai test of the graphs module, at
+most once per sequence in each pass.  The comparison's enumerator keeps
+only the candidates that pass it, and the rules
+(``characterize._rule_report``) and the oracle's placement search
 (``graphs._placement_fits``) then run on the kept tuples without a second
-proof.  A DegreeSequence is built only for what a report holds: a
-mismatch or the threshold's witness.  The lay-off test
-``sequences.is_graphic``, which ``check_potentially`` runs before the
-rules, is not on this path, so the test suite checks it on its own.
+proof.  The threshold's rules pass turns that around: only a sequence the
+rules refuse can raise the largest rejected sum, so the rules run first,
+on every candidate, and the test proves graphic only a refused candidate
+whose sum reaches the largest found so far.  A DegreeSequence is built
+only for what a report holds: a mismatch or the threshold's witness.  The
+lay-off test ``sequences.is_graphic``, which ``check_potentially`` runs
+before the rules, is not on this path, so the test suite checks it on its
+own.
 
 The oracle says "yes" at the first bowtie placement that its degree test
 completes, and "no" when the rules-free placement search of the graphs
@@ -33,6 +38,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, compress
+from operator import attrgetter, not_
 
 from .characterize import SigmaReport, _rule_report
 from .graphs import _erdos_gallai_ok, _placement_fits
@@ -95,8 +101,8 @@ def enumerate_graphic_sequences(n: int) -> Iterator[DegreeSequence]:
 
 def _graphic_terms(n: int) -> Iterator[tuple[int, ...]]:
     """The terms of every graphic length-n sequence with positive terms, in
-    decreasing lexicographic order: the sweep's stream.  The candidates are
-    the nonincreasing n-tuples over n-1..1, which
+    decreasing lexicographic order: the comparison's stream.  The
+    candidates are the nonincreasing n-tuples over n-1..1, which
     ``combinations_with_replacement`` yields in exactly that order; each is
     kept when the Erdős–Gallai test proves it graphic (odd sums fail it at
     once).  ``filter`` keeps the loop in C: no Python frame per candidate.
@@ -149,21 +155,26 @@ def sigma_empirical(n: int) -> SigmaReport:
     boundary check disagrees.
 
     Two streamed passes keep no list of sequences.  The first runs the
-    rules once on each graphic sequence and keeps the witness, its sum and
-    the rejected sequences of that sum.  The second scans the candidates
-    again and proves graphic only those of the two boundary sums; their
-    rules' verdict is known without a second run: rejected exactly for the
-    kept sequences, since every graphic sequence of a larger sum is
-    accepted.
+    rules once on each candidate, graphic or not, and proves graphic only
+    a refused one whose sum is at least the largest rejected sum so far:
+    no other can change the witness, its sum or the rejected sequences of
+    that sum, which it keeps.  The candidates come in decreasing
+    lexicographic order, as the graphic sequences do, so the witness is
+    the same first one.  The second scans the candidates again and proves
+    graphic only those of the two boundary sums; their rules' verdict is
+    known without a second run: rejected exactly for the kept sequences,
+    since every graphic sequence of a larger sum is accepted.
     """
     _check_range(n)
     worst_sum = -1
     worst: tuple[int, ...] | None = None
     rejected: set[tuple[int, ...]] = set()  # the rejected terms of sum worst_sum
-    for terms in _graphic_terms(n):
-        if _rule_report(terms).potentially:
-            continue
+    # the rules' filter runs in C, over a second copy of the candidate stream
+    refused = map(not_, map(attrgetter("potentially"), map(_rule_report, _candidates(n))))
+    for terms in compress(_candidates(n), refused):
         total = sum(terms)
+        if total < worst_sum or not _erdos_gallai_ok(terms):
+            continue
         if total > worst_sum:
             worst_sum, worst, rejected = total, terms, {terms}
         elif total == worst_sum:

@@ -20,6 +20,7 @@ from _brute import (
     erdos_gallai_graphic,
     nonincreasing_positive_sequences,
 )
+from _choices import compare_with_wing_choices
 from _erdos_gallai import compare_with_inequalities
 from _kernel import compare_with_reference
 from _scale import wrong_answers
@@ -484,6 +485,15 @@ def test_oracle_degree_gate_answers_without_walking(monkeypatch, text):
     assert list(_placements(seq.terms)) == []
     monkeypatch.setattr(graphs_module, "_fits", _forbidden)
     assert oracle_has_bowtie_realization(seq) is False
+
+
+def test_choices_are_the_reference_wing_choices_largest_first():
+    # every nonincreasing tuple over 1..n-1 with n <= 9, graphic or not:
+    # the choices are the package-free reference's, each once, in
+    # decreasing order, and the first is the largest term with the next
+    # four, which the oracle reaches before any list is built (to n = 11,
+    # 227 239 tuples, in CI)
+    assert compare_with_wing_choices(9) == sum(comb(2 * n - 2, n) for n in range(2, 10))
 
 
 def _degree_tests(terms):

@@ -87,10 +87,11 @@ def test_sweep_at_six_vertices_agrees_everywhere():
     assert summary.ok
 
 
-def test_sweep_range_is_guarded():
-    for bad in (4, 0, 13, -3):
-        with pytest.raises(ValueError):
-            verify_characterization(bad)
+def test_sweep_and_threshold_ranges_are_guarded():
+    for sweep in (verify_characterization, sigma_empirical):
+        for bad in (0, -3, 4, 13):
+            with pytest.raises(ValueError):
+                sweep(bad)
 
 
 def test_mismatch_record_shape():
@@ -143,16 +144,26 @@ def test_threshold_witness_is_maximal_among_rejected():
 
 
 def test_threshold_enumerates_the_sequences_once(monkeypatch):
+    # one scan of the 3003 candidates at n = 8: the rules pass proves
+    # graphic only a candidate the rules refuse whose sum reaches the
+    # largest rejected sum so far, 37 of them, each once and in order; the
+    # boundary pass then proves the 250 candidates of sum 26 or 28, in order
     calls = []
-    graphic_terms = verify_module._graphic_terms
+    erdos_gallai_ok = graphs_module._erdos_gallai_ok
 
-    def counted(n):
-        calls.append(n)
-        return graphic_terms(n)
+    def counted(terms):
+        calls.append(terms)
+        return erdos_gallai_ok(terms)
 
-    monkeypatch.setattr(verify_module, "_graphic_terms", counted)
-    assert sigma_empirical(7).bound == 24
-    assert calls == [7]
+    monkeypatch.setattr(verify_module, "_erdos_gallai_ok", counted)
+    assert sigma_empirical(8).bound == 28
+    boundary = [t for t in nonincreasing_positive_sequences(8, 7) if sum(t) in (26, 28)]
+    assert len(boundary) == 250
+    rules_pass, boundary_pass = calls[: -len(boundary)], calls[-len(boundary) :]
+    assert boundary_pass == boundary
+    assert len(rules_pass) == 37
+    assert rules_pass == sorted(set(rules_pass), reverse=True)
+    assert not any(characterize_module._rule_report(t).potentially for t in rules_pass)
 
 
 def test_threshold_redecides_both_boundary_sums_with_the_oracle(monkeypatch):
@@ -186,12 +197,6 @@ def test_threshold_memory_does_not_grow_with_the_sweep():
     assert peak < 64 * 1024, peak
 
 
-def test_threshold_range_is_guarded():
-    for bad in (4, 13):
-        with pytest.raises(ValueError):
-            sigma_empirical(bad)
-
-
 # ------------------------------------------------------------ one proof each
 
 
@@ -221,13 +226,15 @@ def test_sweep_and_threshold_never_run_the_lay_off_test(monkeypatch):
 
 
 def test_threshold_decides_each_sequence_once(monkeypatch):
+    # the rules run once on each candidate, graphic or not, in candidate
+    # order: 3003 at n = 8, of which 871 are graphic
     calls = []
 
-    def counted(seq):
-        calls.append(seq)
-        return characterize_module._rule_report(seq)
+    def counted(terms):
+        calls.append(terms)
+        return characterize_module._rule_report(terms)
 
     monkeypatch.setattr(verify_module, "_rule_report", counted)
     assert sigma_empirical(8).bound == 28
-    assert len(calls) == 871
-    assert len(set(calls)) == 871
+    assert calls == list(nonincreasing_positive_sequences(8, 7))
+    assert len(calls) == 3003
