@@ -87,11 +87,10 @@ def test_sweep_at_six_vertices_agrees_everywhere():
     assert summary.ok
 
 
-def test_sweep_and_threshold_ranges_are_guarded():
-    for sweep in (verify_characterization, sigma_empirical):
-        for bad in (0, -3, 4, 13):
-            with pytest.raises(ValueError):
-                sweep(bad)
+def test_sweep_range_is_guarded():
+    for bad in (0, -3, 4, 13):
+        with pytest.raises(ValueError):
+            verify_characterization(bad)
 
 
 def test_mismatch_record_shape():
@@ -195,6 +194,12 @@ def test_threshold_memory_does_not_grow_with_the_sweep():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, peak
+
+
+def test_threshold_range_is_guarded():
+    for bad in (0, -3, 4, 13):
+        with pytest.raises(ValueError):
+            sigma_empirical(bad)
 
 
 # ------------------------------------------------------------ one proof each
