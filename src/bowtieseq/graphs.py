@@ -7,13 +7,16 @@ The oracle is deliberately independent of the rule-based decision procedure
 in the characterize module so the two can cross-validate each other.  The
 bowtie placements are enumerated once, by value (``_choices``).  The oracle
 decides each one on degrees alone (``_placement_fits``), after Erdős–Gallai
-has proved the input graphic: "yes" when some placement completes to a
-realization, "no" when none does; it builds no graph.  The verify sweep
-calls that search directly on sequences its enumerator has proved graphic.
-The realizer puts the placements on vertices (``_placements``) and builds
-the first that completes with the one lay-off kernel, ``_complete``.  The
-exhaustive enumerator of labelled realizations for small sequences is on
-no library path: it is the reference the search is tested against.
+(``_erdos_gallai_ok``) has proved the input graphic: "yes" when some
+placement completes to a realization, "no" when none does; it builds no
+graph.  The verify sweep calls that search directly on sequences its
+enumerator has proved graphic.  On library paths graphs are built for the
+realizer alone: it puts the placements on vertices (``_placements``) and
+builds the first that completes with the one lay-off kernel,
+``_complete``; the CLI finds the bowtie in the result with
+``contains_bowtie``.  The exhaustive enumerator of labelled realizations
+for small sequences is on no library path: it is the reference the search
+is tested against.
 
 A bowtie is two triangles sharing one vertex: a centre c with four distinct
 neighbours a, b, d, e such that ab and de are edges.  Equivalently it is the
@@ -148,18 +151,19 @@ def degree_sequence(graph: SimpleGraph) -> DegreeSequence:
     return DegreeSequence(degs)
 
 
-def _least_bowtie(adj: list[set[int]]) -> tuple[int, tuple[int, int], tuple[int, int]] | None:
-    """The least bowtie in neighbour sets (adj[u] is the set of u's
-    neighbours) as (center, wing1, wing2), for ``contains_bowtie``.
+def contains_bowtie(graph: SimpleGraph) -> BowtieWitness | None:
+    """Find the least bowtie embedding, or None.
 
     Centres go in increasing order; for each, the wing pairs (a, b), a < b,
     in lexicographic order, and the first with a vertex-disjoint later pair
     (d, e) wins with the least one: the first d above a, not b, with a
-    neighbour e above it, not b.  So the result is the minimum under tuple
-    order.  Memory is linear in the edge count; each triangle on a centre
-    costs at most one walk of its neighbours (quadratic in its degree on the
-    book graph K_{1,1,m}).
+    neighbour e above it, not b.  So the witness is the minimum under
+    (center, wing1, wing2) tuple order, and adding edges to the graph can
+    never lose it.  It reads the graph's rows: memory is linear in the edge
+    count, and each triangle on a centre costs at most one walk of its
+    neighbours (quadratic in its degree on the book graph K_{1,1,m}).
     """
+    adj = graph._adj
     for center, around in enumerate(adj):
         if len(around) < 4:
             continue
@@ -177,18 +181,8 @@ def _least_bowtie(adj: list[set[int]]) -> tuple[int, tuple[int, int], tuple[int,
                 for d in later:
                     rest.discard(d)
                     if d != b and not rest.isdisjoint(adj[d]):
-                        return center, (a, b), (d, min(rest & adj[d]))
+                        return BowtieWitness(center, (a, b), (d, min(rest & adj[d])))
     return None
-
-
-def contains_bowtie(graph: SimpleGraph) -> BowtieWitness | None:
-    """Find the least bowtie embedding, or None.
-
-    The witness is the minimum under (center, wing1, wing2) tuple order, so
-    adding edges to the graph can never lose it.
-    """
-    found = _least_bowtie(graph._adj)
-    return BowtieWitness(*found) if found else None
 
 
 def attach_by_degrees(graph: SimpleGraph, neighbour_degrees: Iterable[int]) -> SimpleGraph:
@@ -248,10 +242,10 @@ def _erdos_gallai_ok(residual: Sequence[int]) -> bool:
     k(k-1) and each test needs its tail sum.  The answer is the one the
     full set of inequalities gives.
 
-    It is the graphicality proof of the public oracle, of each placement
-    its search decides, of the walk's prune and of the verify module's
-    enumerator, the sweep's only proof.  The realizer needs none:
-    ``_complete`` decides graphicality as it builds the realization.
+    It is the library's one graphicality proof on degrees: of the public
+    oracle, of each placement its search decides, of the walk's prune, of
+    the verify module's enumerator (the sweep's only proof) and of the
+    realizer once its first placement fails to complete.
     """
     if sum(residual) % 2:
         return False
@@ -405,22 +399,19 @@ def _complete(
     terms: tuple[int, ...], bowtie: list[int], inner: list[tuple[int, int]]
 ) -> list[set[int]] | None:
     """A realization of the nonincreasing ``terms`` that holds the edges
-    ``inner`` placed on the vertices ``bowtie``, as neighbour sets (the form
-    ``SimpleGraph.adjacency`` returns and ``_least_bowtie`` reads), or None
-    if there is none: the realizer's builder.  With nothing placed it is
-    Havel–Hakimi's realization, so it is None exactly when the terms are
-    not graphic.  The oracle decides the same question on degrees alone
-    (``_fits``), with no graph.
+    ``inner`` placed on the vertices ``bowtie``, as neighbour sets (the rows
+    of a ``SimpleGraph``), or None if there is none: the realizer's builder.
+    The oracle decides the same question on degrees alone (``_fits``), with
+    no graph.
 
     The outside vertices wait in one list, stably sorted by remaining
-    demand, largest first; with nothing placed that is the vertices in
-    order.  Each bowtie vertex in turn, then the front vertex of the list,
-    takes the ``need`` vertices of largest demand after it, and fails if
-    fewer than ``need`` have demand left.  In the block of equal demand
-    where the picks end it takes the last members, so the list stays sorted
-    once their demands drop; vertices whose demand reaches zero are then at
-    its tail, and a walk back from the end trims them (the end only moves
-    down, so the walks cost linear time in all).
+    demand, largest first.  Each bowtie vertex in turn, then the front
+    vertex of the list, takes the ``need`` vertices of largest demand after
+    it, and fails if fewer than ``need`` have demand left.  In the block of
+    equal demand where the picks end it takes the last members, so the list
+    stays sorted once their demands drop; vertices whose demand reaches zero
+    are then at its tail, and a walk back from the end trims them (the end
+    only moves down, so the walks cost linear time in all).
 
     This is exact, by a switching argument.  If a realization holds the
     placement and joins a bowtie vertex v to an outside vertex x but not to
@@ -448,12 +439,8 @@ def _complete(
         short[v] += 1
     key = short.__getitem__
     # the bowtie vertices lay off first, then each outside vertex from the
-    # front; order[:size] is what the trimming leaves.  Nonincreasing terms
-    # are already sorted when nothing is placed
-    if bowtie:
-        order = bowtie + sorted([v for v in range(len(terms)) if v not in bowtie], key=key)
-    else:
-        order = list(range(len(terms)))
+    # front; order[:size] is what the trimming leaves
+    order = bowtie + sorted([v for v in range(len(terms)) if v not in bowtie], key=key)
     size = len(order)
     placed = len(bowtie)
     for at, u in enumerate(order):

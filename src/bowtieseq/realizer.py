@@ -13,10 +13,10 @@ argument that makes the search exact is in ``graphs._complete``.
 The search comes before the decision.  A completed placement is a
 realization, so it proves the sequence graphic, and only the rules
 (``characterize._rule_report``) run on it.  Once the first placement
-fails to complete, the kernel with nothing placed (Havel–Hakimi) decides
-graphicality and the rules run after it, to tell a rejected sequence
-(NotPotentially) from one that a later placement realizes; the quadratic
-lay-off test behind ``check_potentially`` is not on this path.
+fails to complete, Erdős–Gallai (``graphs._erdos_gallai_ok``, the oracle's
+proof) decides graphicality and the rules run after it, to tell a rejected
+sequence (NotPotentially) from one that a later placement realizes; the
+quadratic lay-off test behind ``check_potentially`` is not on this path.
 
 The result must have exactly the input degrees and the placed bowtie's six
 edges.  A failed validation, rules that reject a sequence just realized
@@ -32,7 +32,14 @@ from enum import Enum
 from itertools import groupby
 
 from .characterize import Failure, _rule_report, check_potentially
-from .graphs import SimpleGraph, TraceMismatch, _complete, _placements, attach_by_degrees
+from .graphs import (
+    SimpleGraph,
+    TraceMismatch,
+    _complete,
+    _erdos_gallai_ok,
+    _placements,
+    attach_by_degrees,
+)
 from .sequences import DegreeSequence, LayoffTrace, _quote, format_sequence
 
 
@@ -191,8 +198,8 @@ def realize_with_bowtie(seq: DegreeSequence) -> SimpleGraph:
     completed placement proves the sequence graphic, so only the rules
     (``_rule_report``) run on it, not the quadratic lay-off test.  When the
     first placement fails to complete (or there is none), the sequence is
-    decided once, as ``check_potentially`` decides it but with the kernel's
-    Havel–Hakimi pass as the graphicality test; if that rejects,
+    decided once, as ``check_potentially`` decides it but with Erdős–Gallai
+    (``_erdos_gallai_ok``) as the graphicality test; if that rejects,
     NotPotentially names the failure, and otherwise the first placement
     left that completes is taken.  For accepted input the construction
     always succeeds.  InternalExhaustion means the library itself is wrong:
@@ -203,12 +210,9 @@ def realize_with_bowtie(seq: DegreeSequence) -> SimpleGraph:
     pairs = ((inner, _complete(terms, bowtie, inner)) for bowtie, inner in _placements(terms))
     inner, adj = next(pairs, ([], None))
     if adj is None:
-        # Havel–Hakimi proves the sequence graphic in linear time, where the
-        # lay-off test behind check_potentially is quadratic
-        if _complete(terms, [], []) is None:
-            failure = Failure.NOT_GRAPHIC
-        else:
-            failure = _rule_report(terms).failure
+        # Erdős–Gallai proves the sequence graphic with no graph built, where
+        # the lay-off test behind check_potentially is quadratic
+        failure = _rule_report(terms).failure if _erdos_gallai_ok(terms) else Failure.NOT_GRAPHIC
         if failure is not None:
             raise NotPotentially(
                 f"{_quote(format_sequence(seq))} is not potentially bowtie-graphic"

@@ -93,6 +93,18 @@ def _pinned_runs():
         for n in (4, 13):
             err = f"error: N must be between 5 and 12, got {n}\n"
             yield pytest.param((command, str(n)), 2, "", err, id=f"{command}-{n}")
+    # the table pins the text of verify and sigma too (their structured
+    # output is pinned in test_acceptance's GOLDEN_STRUCTURED)
+    verify = (
+        "n: 5\nsequences tested: 20\npotentially: 6\nrejected: 14\nmismatches: 0\n"
+        "result: ok\n"
+    )
+    yield pytest.param(("verify", "5"), 0, verify, "", id="verify-5-text")
+    sigma = (
+        "n: 6\nempirical: 20, closed-form: 20, agree: yes\n"
+        "witness: 5^2,2^4 (sum 18, rejected)\n"
+    )
+    yield pytest.param(("sigma", "6"), 0, sigma, "", id="sigma-6-text")
 
 
 @pytest.mark.parametrize("argv, code, out, err", _pinned_runs())
@@ -240,32 +252,6 @@ def test_realize_output_is_pinned_byte_for_byte(capsys):
 # ---------------------------------------------------------------------- verify
 
 
-def test_verify_text(capsys):
-    code, out, err = run_cli(capsys, "verify", "5")
-    assert code == 0 and err == ""
-    assert out == (
-        "n: 5\n"
-        "sequences tested: 20\n"
-        "potentially: 6\n"
-        "rejected: 14\n"
-        "mismatches: 0\n"
-        "result: ok\n"
-    )
-
-
-def test_verify_structured(capsys):
-    code, out, _ = run_cli(capsys, "verify", "5", "--output", "structured")
-    assert code == 0
-    assert out == (
-        "n=5\n"
-        "sequences_tested=20\n"
-        "potentially=6\n"
-        "rejected=14\n"
-        "mismatches=0\n"
-        "result=ok\n"
-    )
-
-
 def test_verify_reports_mismatches_and_exits_3(capsys, monkeypatch):
     fake = VerificationSummary(
         n=5,
@@ -284,29 +270,6 @@ def test_verify_reports_mismatches_and_exits_3(capsys, monkeypatch):
 
 
 # ----------------------------------------------------------------------- sigma
-
-
-def test_sigma_text(capsys):
-    code, out, err = run_cli(capsys, "sigma", "6")
-    assert code == 0 and err == ""
-    assert out == (
-        "n: 6\n"
-        "empirical: 20, closed-form: 20, agree: yes\n"
-        "witness: 5^2,2^4 (sum 18, rejected)\n"
-    )
-
-
-def test_sigma_structured(capsys):
-    code, out, _ = run_cli(capsys, "sigma", "5", "--output", "structured")
-    assert code == 0
-    assert out == (
-        "n=5\n"
-        "empirical=16\n"
-        "closed_form=16\n"
-        "agree=yes\n"
-        "witness=4^2,2^3\n"
-        "witness_sum=14\n"
-    )
 
 
 def test_sigma_disagreement_exits_3(capsys, monkeypatch):

@@ -124,14 +124,11 @@ def test_failed_construction_raises_the_alarm(monkeypatch):
 
 def test_an_accepted_sequence_with_no_way_down_raises_the_alarm(monkeypatch):
     # every completion of a placement refuted: the search tries each
-    # placement, then runs out.  The pass with nothing placed is the
-    # graphicality proof, not a placement, so it is left alone
+    # placement, then runs out
     seq = parse_sequence("5,3,2^9")
     completions = []
 
     def refute(terms, bowtie, inner):
-        if not bowtie:
-            return _complete(terms, bowtie, inner)
         completions.append(_complete(terms, bowtie, inner))
         return None
 
@@ -294,9 +291,9 @@ def test_realize_rejects_non_members():
 
 def test_the_fallback_decides_without_the_lay_off_test(monkeypatch):
     # once the first placement fails to complete the sequence is decided,
-    # with the kernel's Havel–Hakimi pass as the graphicality test: the
-    # quadratic lay-off test behind check_potentially never runs, on an
-    # accepted sequence realized by a later placement or a non-graphic one
+    # with Erdős–Gallai as the graphicality test: the quadratic lay-off
+    # test behind check_potentially never runs, on an accepted sequence
+    # realized by a later placement or a non-graphic one
     def no_lay_off_test(seq):
         raise AssertionError("realize_with_bowtie ran is_graphic")
 
@@ -316,18 +313,20 @@ def test_the_fallback_decides_without_the_lay_off_test(monkeypatch):
 
 def test_a_non_graphic_input_costs_at_most_two_completions(monkeypatch):
     # 3000,2999,...,1 has over 3·10^12 choices of wings: the first placement
-    # fails, then the Havel–Hakimi pass rejects the sequence (5 ms), so a
-    # realizer that searched on before deciding fails here, not hangs
+    # fails, then Erdős–Gallai rejects the sequence without building a
+    # graph, so the kernel runs once, on that placement; a realizer that
+    # searched on before deciding fails here, not hangs
     calls = []
 
     def counted(terms, bowtie, inner):
+        assert bowtie and not calls, "a completion other than the first placement's"
         calls.append(inner)
-        assert len(calls) <= 2, "a third completion of the same input"
         return _complete(terms, bowtie, inner)
 
     monkeypatch.setattr(realizer_module, "_complete", counted)
     with pytest.raises(NotPotentially, match=re.escape("(not_graphic)")):
         realize_with_bowtie(DegreeSequence(range(3000, 0, -1)))
+    assert len(calls) == 1
 
 
 def test_rules_that_reject_a_realized_sequence_raise_the_alarm(monkeypatch):
@@ -343,17 +342,15 @@ def test_the_no_placement_alarm_quotes_a_long_sequence_briefly(monkeypatch, caps
     # accepted, yet no placement completes: the alarm names the sequence
     # through _quote, so its message and the CLI's stderr line stay short.
     # Only the first three placements are tried: this sequence has trillions.
-    # The decision is stubbed to accept: the pass with nothing placed proves
-    # graphicality and the rules accept
+    # The decision is stubbed to accept: Erdős–Gallai proves graphicality
+    # and the rules accept
     seq = DegreeSequence(range(3000, 0, -1))
     accepted = CheckReport(graphic=True, potentially=True, failure=None)
     placements = _placements
 
-    def no_placement_completes(terms, bowtie, inner):
-        return None if bowtie else [set() for _ in terms]
-
+    monkeypatch.setattr(realizer_module, "_erdos_gallai_ok", lambda terms: True)
     monkeypatch.setattr(realizer_module, "_rule_report", lambda seq: accepted)
-    monkeypatch.setattr(realizer_module, "_complete", no_placement_completes)
+    monkeypatch.setattr(realizer_module, "_complete", lambda terms, bowtie, inner: None)
     monkeypatch.setattr(realizer_module, "_placements", lambda terms: islice(placements(terms), 3))
     with pytest.raises(InternalExhaustion) as caught:
         realize_with_bowtie(seq)
